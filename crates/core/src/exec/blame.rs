@@ -1,7 +1,7 @@
 //! Stall-blame accounting for the timing simulator.
 //!
-//! A [`BlameRecorder`] rides along a plan-driven simulation (see
-//! [`simulate_plan_blamed`](crate::exec::timing::simulate_plan_blamed))
+//! A [`BlameRecorder`] rides along a plan-driven simulation (attached
+//! through [`Observe`](crate::exec::timing::Observe))
 //! and classifies, per plan node, every cycle of the query's runtime
 //! into *active* streaming or one of the exhaustive
 //! [`BlameCause`] buckets defined in `q100-trace`. Two bookkeeping
@@ -41,7 +41,7 @@ use crate::exec::timing::TimingResult;
 
 /// Accumulates per-node blame ledgers over one simulation run.
 ///
-/// Reusable: [`simulate_plan_blamed`](crate::exec::timing::simulate_plan_blamed)
+/// Reusable: [`simulate_plan`](crate::exec::timing::simulate_plan)
 /// resets it at the start of every run, so one recorder can serve many
 /// sequential simulations (mirroring [`SimScratch`](crate::exec::plan::SimScratch)).
 #[derive(Debug, Default)]

@@ -14,11 +14,9 @@ pub use functional::{execute, execute_lean, FunctionalRun, GraphProfile, NodePro
 pub use plan::{PlanCache, SimScratch, StagePlan};
 pub use timing::{
     bytes_per_cycle_to_gbps, endpoint_name, gbps_to_bytes_per_cycle, jump_enabled,
-    set_jump_enabled, simulate, simulate_plan, simulate_plan_blamed, simulate_plan_traced,
-    simulate_traced, BwStats, ConnMatrix, TimingResult, ENDPOINTS, MEMORY_ENDPOINT,
+    set_jump_enabled, simulate_plan, BwStats, ConnMatrix, Observe, TimingResult, ENDPOINTS,
+    MEMORY_ENDPOINT,
 };
-
-use q100_trace::{BlameReport, TraceSink};
 
 use std::sync::Arc;
 
@@ -179,27 +177,11 @@ impl<'a> Simulator<'a> {
     /// Propagates graph validation, execution, scheduling, and
     /// configuration errors.
     pub fn run(&self, graph: &QueryGraph, catalog: &dyn Catalog) -> Result<SimOutcome> {
-        self.run_traced(graph, catalog, None)
-    }
-
-    /// [`run`](Self::run), emitting structured [`q100_trace::TraceEvent`]s
-    /// from the timing layer into `sink` (see
-    /// [`timing::simulate_traced`]). `None` is exactly [`run`](Self::run).
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn run_traced(
-        &self,
-        graph: &QueryGraph,
-        catalog: &dyn Catalog,
-        sink: Option<&mut (dyn TraceSink + '_)>,
-    ) -> Result<SimOutcome> {
         // Lean execution: intermediates are dropped as consumed, so the
         // peak footprint tracks the largest working set, not the whole
         // dataflow history.
         let functional = functional::execute_lean(graph, catalog)?;
-        self.run_profiled_traced(graph, &functional, sink)
+        self.run_profiled(graph, &functional)
     }
 
     /// Schedules and times a query whose functional run (and volume
@@ -214,58 +196,23 @@ impl<'a> Simulator<'a> {
         graph: &QueryGraph,
         functional: &FunctionalRun,
     ) -> Result<SimOutcome> {
-        self.run_profiled_traced(graph, functional, None)
+        let plan = self.plan(graph, functional)?;
+        self.run_planned(&plan, functional, graph, &mut SimScratch::new())
     }
 
-    /// [`run_profiled`](Self::run_profiled) with an optional trace sink.
+    /// Schedules `graph` on this configuration's mix with its scheduler,
+    /// validates the schedule, and compiles it into a [`StagePlan`] —
+    /// the plan every other `run*` method times.
     ///
     /// # Errors
     ///
-    /// As [`run_profiled`](Self::run_profiled).
-    pub fn run_profiled_traced(
-        &self,
-        graph: &QueryGraph,
-        functional: &FunctionalRun,
-        sink: Option<&mut (dyn TraceSink + '_)>,
-    ) -> Result<SimOutcome> {
+    /// Propagates configuration, scheduling, and compilation errors.
+    pub fn plan(&self, graph: &QueryGraph, functional: &FunctionalRun) -> Result<StagePlan> {
         self.config.validate()?;
         let schedule =
             sched::schedule(self.config.scheduler, graph, &self.config.mix, &functional.profile)?;
-        self.run_scheduled_traced(graph, functional, schedule, sink)
-    }
-
-    /// Times a query under an externally supplied schedule (used by the
-    /// scheduler-comparison experiments).
-    ///
-    /// # Errors
-    ///
-    /// Propagates schedule validation and configuration errors.
-    pub fn run_scheduled(
-        &self,
-        graph: &QueryGraph,
-        functional: &FunctionalRun,
-        schedule: Schedule,
-    ) -> Result<SimOutcome> {
-        self.run_scheduled_traced(graph, functional, schedule, None)
-    }
-
-    /// [`run_scheduled`](Self::run_scheduled) with an optional trace
-    /// sink.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_scheduled`](Self::run_scheduled).
-    pub fn run_scheduled_traced(
-        &self,
-        graph: &QueryGraph,
-        functional: &FunctionalRun,
-        schedule: Schedule,
-        sink: Option<&mut (dyn TraceSink + '_)>,
-    ) -> Result<SimOutcome> {
         schedule.validate(graph, &self.config.mix)?;
-        let plan = StagePlan::compile(graph, Arc::new(schedule), &functional.profile)?;
-        let mut scratch = SimScratch::new();
-        self.run_planned_traced(&plan, functional, graph, &mut scratch, sink)
+        StagePlan::compile(graph, Arc::new(schedule), &functional.profile)
     }
 
     /// Times a query from a pre-compiled [`StagePlan`], reusing
@@ -283,44 +230,26 @@ impl<'a> Simulator<'a> {
         graph: &QueryGraph,
         scratch: &mut SimScratch,
     ) -> Result<SimOutcome> {
-        self.run_planned_traced(plan, functional, graph, scratch, None)
+        self.run_observed(plan, functional, graph, scratch, Observe::default())
     }
 
-    /// [`run_planned`](Self::run_planned) with an optional trace sink.
+    /// [`run_planned`](Self::run_planned) with a trace sink and/or a
+    /// stall-blame recorder attached (see [`Observe`]). Observers never
+    /// perturb the cycle counts; a blamed caller builds its ledger with
+    /// [`BlameRecorder::report`] from the returned timing.
     ///
     /// # Errors
     ///
     /// As [`run_planned`](Self::run_planned).
-    pub fn run_planned_traced(
+    pub fn run_observed(
         &self,
         plan: &StagePlan,
         functional: &FunctionalRun,
         graph: &QueryGraph,
         scratch: &mut SimScratch,
-        sink: Option<&mut (dyn TraceSink + '_)>,
+        obs: Observe<'_>,
     ) -> Result<SimOutcome> {
-        self.run_planned_blamed(plan, functional, graph, scratch, sink, None)
-    }
-
-    /// [`run_planned_traced`](Self::run_planned_traced) with an optional
-    /// stall-blame recorder (see [`timing::simulate_plan_blamed`]).
-    /// Cycle counts and blame totals are identical with or without the
-    /// quantum-jump fast path, which stays armed while recording: jumped
-    /// segments bulk-fold their per-quantum blame into the ledger.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_planned`](Self::run_planned).
-    pub fn run_planned_blamed(
-        &self,
-        plan: &StagePlan,
-        functional: &FunctionalRun,
-        graph: &QueryGraph,
-        scratch: &mut SimScratch,
-        sink: Option<&mut (dyn TraceSink + '_)>,
-        blame: Option<&mut BlameRecorder>,
-    ) -> Result<SimOutcome> {
-        let timing = timing::simulate_plan_blamed(plan, self.config, scratch, sink, blame)?;
+        let timing = timing::simulate_plan(plan, self.config, scratch, obs)?;
         Ok(SimOutcome {
             cycles: timing.cycles,
             results: functional.results(graph),
@@ -328,39 +257,6 @@ impl<'a> Simulator<'a> {
             timing,
             config: self.config.clone(),
         })
-    }
-
-    /// [`run`](Self::run) with stall-blame attribution: simulates the
-    /// query once with a [`BlameRecorder`] attached and returns the
-    /// outcome together with the per-node cycle ledger (see
-    /// [`q100_trace::BlameReport`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn run_attributed(
-        &self,
-        graph: &QueryGraph,
-        catalog: &dyn Catalog,
-    ) -> Result<(SimOutcome, BlameReport)> {
-        self.config.validate()?;
-        let functional = functional::execute_lean(graph, catalog)?;
-        let schedule =
-            sched::schedule(self.config.scheduler, graph, &self.config.mix, &functional.profile)?;
-        schedule.validate(graph, &self.config.mix)?;
-        let plan = StagePlan::compile(graph, Arc::new(schedule), &functional.profile)?;
-        let mut scratch = SimScratch::new();
-        let mut recorder = BlameRecorder::new();
-        let outcome = self.run_planned_blamed(
-            &plan,
-            &functional,
-            graph,
-            &mut scratch,
-            None,
-            Some(&mut recorder),
-        )?;
-        let report = recorder.report(&outcome.timing, &self.config.mix);
-        Ok((outcome, report))
     }
 }
 
@@ -429,8 +325,15 @@ mod tests {
         let config = SimConfig::new(TileMix::uniform(1));
         let untraced = Simulator::new(&config).run(&g, &cat).unwrap();
 
+        let traced_run = |rec: &mut RingRecorder| {
+            let sim = Simulator::new(&config);
+            let functional = functional::execute_lean(&g, &cat).unwrap();
+            let plan = sim.plan(&g, &functional).unwrap();
+            let obs = Observe { sink: Some(rec), blame: None };
+            sim.run_observed(&plan, &functional, &g, &mut SimScratch::new(), obs).unwrap()
+        };
         let mut rec = RingRecorder::new();
-        let traced = Simulator::new(&config).run_traced(&g, &cat, Some(&mut rec)).unwrap();
+        let traced = traced_run(&mut rec);
         assert_eq!(traced.cycles, untraced.cycles, "tracing must not perturb timing");
         assert_eq!(rec.dropped(), 0);
 
@@ -444,7 +347,7 @@ mod tests {
 
         // Same query, same config: byte-identical event stream.
         let mut rec2 = RingRecorder::new();
-        let _ = Simulator::new(&config).run_traced(&g, &cat, Some(&mut rec2)).unwrap();
+        let _ = traced_run(&mut rec2);
         assert_eq!(events, rec2.events());
     }
 
@@ -454,56 +357,25 @@ mod tests {
         // Tight mix: multiple stages, so TileWait/Drained spans appear.
         let config = SimConfig::new(TileMix::uniform(1));
         let plain = Simulator::new(&config).run(&g, &cat).unwrap();
-        let (out, report) = Simulator::new(&config).run_attributed(&g, &cat).unwrap();
+        let attributed = || {
+            let sim = Simulator::new(&config);
+            let functional = functional::execute_lean(&g, &cat).unwrap();
+            let plan = sim.plan(&g, &functional).unwrap();
+            let mut rec = BlameRecorder::new();
+            let obs = Observe { sink: None, blame: Some(&mut rec) };
+            let out =
+                sim.run_observed(&plan, &functional, &g, &mut SimScratch::new(), obs).unwrap();
+            let report = rec.report(&out.timing, &config.mix);
+            (out, report)
+        };
+        let (out, report) = attributed();
         assert_eq!(out.cycles, plain.cycles, "blame recording must not perturb timing");
         assert_eq!(report.cycles, out.cycles);
         assert!(!report.nodes.is_empty());
         report.check_invariant().unwrap();
         // Attribution is deterministic.
-        let (_, again) = Simulator::new(&config).run_attributed(&g, &cat).unwrap();
+        let (_, again) = attributed();
         assert_eq!(report.nodes, again.nodes);
-    }
-
-    #[test]
-    fn plan_cache_capacity_bounds_residency_and_counts_evictions() {
-        use crate::config::SchedulerKind;
-        use crate::sched::ScheduleCache;
-
-        let (g, cat) = fixture();
-        let functional = functional::execute(&g, &cat).unwrap();
-        let sched_cache = ScheduleCache::new();
-        let plans = PlanCache::with_capacity(2);
-        for tag in 0..5 {
-            let _ = plans
-                .get_or_compile(
-                    tag,
-                    SchedulerKind::DataAware,
-                    &g,
-                    &TileMix::uniform(1),
-                    &functional.profile,
-                    &sched_cache,
-                )
-                .unwrap();
-        }
-        assert_eq!(plans.len(), 2, "capacity must bound resident plans");
-        assert_eq!(plans.evictions(), 3);
-        // Evicted plans still count as the compile-misses they were.
-        assert_eq!(plans.stats(), crate::sched::CacheStats { hits: 0, misses: 5 });
-        // An evicted-then-revisited key recompiles rather than erroring.
-        let _ = plans
-            .get_or_compile(
-                0,
-                SchedulerKind::DataAware,
-                &g,
-                &TileMix::uniform(1),
-                &functional.profile,
-                &sched_cache,
-            )
-            .unwrap();
-        plans.clear();
-        assert_eq!(plans.evictions(), 0);
-        // Default-capacity caches never evict at sweep scales.
-        assert_eq!(PlanCache::new().evictions(), 0);
     }
 
     #[test]

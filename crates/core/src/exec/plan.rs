@@ -21,12 +21,13 @@
 
 use std::sync::Arc;
 
+use crate::cache::BoundedCache;
 use crate::config::{SchedulerKind, TileMix};
 use crate::error::{CoreError, Result};
 use crate::exec::functional::GraphProfile;
 use crate::exec::timing::{consume_mode, ConnMatrix, ConsumeMode, MEMORY_ENDPOINT};
 use crate::isa::graph::{NodeId, PortRef, QueryGraph, SpatialOp};
-use crate::sched::{CacheStats, Schedule, ScheduleCache};
+use crate::sched::{Schedule, ScheduleCache};
 use crate::tiles::TileKind;
 
 /// Where an input stream comes from.
@@ -106,7 +107,7 @@ pub(crate) struct StageTopo {
 /// A compiled, immutable per-(query, schedule) simulation artifact.
 ///
 /// Built once by [`StagePlan::compile`] and shared (e.g. behind an
-/// `Arc` in [`crate::sched::PlanCache`]) across every configuration of
+/// `Arc` in [`PlanCache`]) across every configuration of
 /// a sweep; see the module docs for what it captures.
 #[derive(Debug, Clone)]
 pub struct StagePlan {
@@ -488,7 +489,8 @@ impl SimScratch {
         Self::default()
     }
 
-    /// Resizes all vectors for `plan` and zeroes the run statistics.
+    /// Resizes all vectors for `plan`, clears the solver's lock kinds,
+    /// and zeroes the run statistics.
     pub(crate) fn begin_run(&mut self, plan: &StagePlan) {
         let s = plan.max_streams;
         if self.done.len() < s {
@@ -500,6 +502,11 @@ impl SimScratch {
             self.out_capped.resize(s, false);
             self.locked.resize(s, 0);
         }
+        // The solver rewrites only some lock kinds per call; one left
+        // over from an earlier plan would change which segments it
+        // certifies — never the cycles, but the jump counters would
+        // then depend on what this scratch ran before.
+        self.locked.fill(0);
         if self.desired.len() < plan.max_nodes {
             self.desired.resize(plan.max_nodes, 0.0);
             self.adv0.resize(plan.max_nodes, 0.0);
@@ -512,8 +519,8 @@ impl SimScratch {
 }
 
 /// A thread-safe memo of compiled plans keyed by *query tag ×
-/// scheduler × tile mix* — the plan-layer twin of
-/// [`ScheduleCache`].
+/// scheduler × tile mix* — the plan-layer twin of [`ScheduleCache`]
+/// (see [`BoundedCache`]).
 ///
 /// A [`StagePlan`] depends on exactly what its schedule depends on (the
 /// query graph, scheduler, tile mix, and volume profile), so the two
@@ -522,94 +529,13 @@ impl SimScratch {
 /// first resolves the schedule through the supplied [`ScheduleCache`]
 /// (keeping the schedule memo warm for callers that still want bare
 /// schedules) and then compiles the topology once; every subsequent
-/// configuration of a sweep reuses the compiled artifact.
-///
-/// Compilation runs outside the map lock, so concurrent sweep workers
-/// never serialize on it. First sight of a key is *single-flight*: late
-/// arrivals for a key whose plan is still compiling wait for the result
-/// instead of compiling again, so the compile path — and with it the
-/// number of calls this cache issues into the backing
-/// [`ScheduleCache`] — runs exactly once per key regardless of worker
-/// timing. (Without this, two workers racing the same fresh key would
-/// both take the miss path and the schedule cache's lookup count would
-/// depend on the interleaving, breaking the byte-identical stdout
-/// guarantee.) Hit/miss counters follow the same deterministic
-/// definition as [`CacheStats`].
-///
-/// Like [`ScheduleCache`], the cache is bounded: inserting a fresh key
-/// at capacity evicts one resident entry (arbitrary victim — plans are
-/// pure functions of their keys, so eviction only costs a
-/// recompilation) and bumps the eviction counter plus the
-/// `cache.evictions` registry metric.
-#[derive(Debug)]
-enum PlanSlot {
-    /// A compiled, resident plan.
-    Ready(Arc<StagePlan>),
-    /// The first caller is compiling this key right now; wait on
-    /// [`PlanCache::compiled`] instead of compiling it again.
-    Pending,
-}
-
-#[derive(Debug)]
-pub struct PlanCache {
-    map: std::sync::Mutex<std::collections::HashMap<(u64, SchedulerKind, TileMix), PlanSlot>>,
-    /// Notified whenever a pending slot resolves (ready or failed).
-    compiled: std::sync::Condvar,
-    /// Successful lookups since the last reset (call count, which is
-    /// independent of worker interleaving).
-    lookups: std::sync::atomic::AtomicU64,
-    /// Inserts (map size plus evictions) at the last reset;
-    /// `len + evictions - base_len` is the deterministic miss count.
-    base_len: std::sync::atomic::AtomicU64,
-    /// Maximum resident entries before eviction kicks in.
-    capacity: usize,
-    /// Entries evicted to respect `capacity` since construction (or the
-    /// last [`PlanCache::clear`]).
-    evictions: std::sync::atomic::AtomicU64,
-    registry: Option<Arc<q100_trace::Registry>>,
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache {
-            map: std::sync::Mutex::default(),
-            compiled: std::sync::Condvar::new(),
-            lookups: std::sync::atomic::AtomicU64::new(0),
-            base_len: std::sync::atomic::AtomicU64::new(0),
-            capacity: Self::DEFAULT_CAPACITY,
-            evictions: std::sync::atomic::AtomicU64::new(0),
-            registry: None,
-        }
-    }
-}
+/// configuration of a sweep reuses the compiled artifact. Compilation
+/// is single-flight, so the number of calls this cache issues into the
+/// backing [`ScheduleCache`] is exactly one per key regardless of worker
+/// timing.
+pub type PlanCache = BoundedCache<(u64, SchedulerKind, TileMix), Arc<StagePlan>>;
 
 impl PlanCache {
-    /// Default capacity, matching [`ScheduleCache::DEFAULT_CAPACITY`]:
-    /// far above what any shipped sweep populates, so all existing runs
-    /// stay eviction-free, while a serving loop churning through
-    /// degraded mixes cannot grow memory without bound.
-    pub const DEFAULT_CAPACITY: usize = 4096;
-
-    /// An empty cache with the default capacity.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty cache bounded to `capacity` resident entries (min 1).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        PlanCache { capacity: capacity.max(1), ..Self::default() }
-    }
-
-    /// An empty cache that additionally counts every successful lookup
-    /// into `registry` under `plan.cache.lookups` (and evictions under
-    /// `cache.evictions`).
-    #[must_use]
-    pub fn with_metrics(registry: Arc<q100_trace::Registry>) -> Self {
-        PlanCache { registry: Some(registry), ..Self::default() }
-    }
-
     /// Returns the memoized plan for `(tag, kind, mix)`, scheduling
     /// (via `sched_cache`) and compiling on a miss.
     ///
@@ -621,10 +547,6 @@ impl PlanCache {
     ///
     /// Propagates scheduler and compilation errors; failures are not
     /// cached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
     pub fn get_or_compile(
         &self,
         tag: u64,
@@ -634,169 +556,10 @@ impl PlanCache {
         profile: &GraphProfile,
         sched_cache: &ScheduleCache,
     ) -> Result<Arc<StagePlan>> {
-        let key = (tag, kind, *mix);
-        {
-            let mut map = self.map.lock().unwrap();
-            loop {
-                match map.get(&key) {
-                    Some(PlanSlot::Ready(p)) => {
-                        let p = Arc::clone(p);
-                        drop(map);
-                        self.note_lookup();
-                        return Ok(p);
-                    }
-                    Some(PlanSlot::Pending) => {
-                        map = self.compiled.wait(map).unwrap();
-                    }
-                    None => {
-                        map.insert(key, PlanSlot::Pending);
-                        break;
-                    }
-                }
-            }
-        }
-        // Compile outside the lock; this caller owns the pending slot,
-        // so no other thread can be compiling the same key. The guard
-        // releases the slot if the compile unwinds, so waiters retry
-        // instead of hanging.
-        let guard = PendingGuard { cache: self, key };
-        let result = sched_cache
-            .get_or_schedule(tag, kind, graph, mix, profile)
-            .and_then(|schedule| StagePlan::compile(graph, schedule, profile).map(Arc::new));
-        let mut map = self.map.lock().unwrap();
-        match result {
-            Ok(fresh) => {
-                if Self::ready_len(&map) >= self.capacity {
-                    let victim = map
-                        .iter()
-                        .find(|(k, slot)| **k != key && matches!(slot, PlanSlot::Ready(_)))
-                        .map(|(k, _)| *k);
-                    if let Some(victim) = victim {
-                        map.remove(&victim);
-                        self.note_eviction();
-                    }
-                }
-                map.insert(key, PlanSlot::Ready(Arc::clone(&fresh)));
-                drop(map);
-                std::mem::forget(guard);
-                self.compiled.notify_all();
-                self.note_lookup();
-                Ok(fresh)
-            }
-            Err(e) => {
-                // Failures are not cached: release the pending slot so
-                // waiters (and retries) attempt the compile themselves.
-                map.remove(&key);
-                drop(map);
-                std::mem::forget(guard);
-                self.compiled.notify_all();
-                Err(e)
-            }
-        }
-    }
-
-    /// Resident (compiled) plans in `map`, ignoring pending slots.
-    fn ready_len(
-        map: &std::collections::HashMap<(u64, SchedulerKind, TileMix), PlanSlot>,
-    ) -> usize {
-        map.values().filter(|slot| matches!(slot, PlanSlot::Ready(_))).count()
-    }
-
-    fn note_lookup(&self) {
-        self.lookups.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if let Some(r) = &self.registry {
-            r.inc("plan.cache.lookups", 1);
-        }
-    }
-
-    fn note_eviction(&self) {
-        self.evictions.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if let Some(r) = &self.registry {
-            r.inc("cache.evictions", 1);
-        }
-    }
-
-    /// Entries evicted to respect the capacity bound since construction
-    /// (or the last [`PlanCache::clear`]).
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Current hit/miss counters (see [`CacheStats`] for the
-    /// deterministic definition).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        use std::sync::atomic::Ordering;
-        let len = Self::ready_len(&self.map.lock().unwrap()) as u64;
-        let inserted = len + self.evictions.load(Ordering::Relaxed);
-        let misses = inserted.saturating_sub(self.base_len.load(Ordering::Relaxed));
-        let lookups = self.lookups.load(Ordering::Relaxed);
-        CacheStats { hits: lookups.saturating_sub(misses), misses }
-    }
-
-    /// Zeroes the counters while keeping every memoized plan, so each
-    /// sweep of a multi-figure run reports its own hit/miss line.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
-    pub fn reset_stats(&self) {
-        use std::sync::atomic::Ordering;
-        let len = Self::ready_len(&self.map.lock().unwrap()) as u64;
-        let inserted = len + self.evictions.load(Ordering::Relaxed);
-        self.base_len.store(inserted, Ordering::Relaxed);
-        self.lookups.store(0, Ordering::Relaxed);
-    }
-
-    /// Drops every memoized plan and zeroes the counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
-    pub fn clear(&self) {
-        use std::sync::atomic::Ordering;
-        self.map.lock().unwrap().clear();
-        self.base_len.store(0, Ordering::Relaxed);
-        self.lookups.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-
-    /// Number of distinct memoized plans (pending compiles excluded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        Self::ready_len(&self.map.lock().unwrap())
-    }
-
-    /// Whether the cache holds no plans.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Releases a pending [`PlanSlot`] if the owning compile unwinds, so
-/// waiters blocked on [`PlanCache::compiled`] retry instead of hanging
-/// forever. The normal success/error paths `mem::forget` this guard
-/// after resolving the slot themselves.
-struct PendingGuard<'a> {
-    cache: &'a PlanCache,
-    key: (u64, SchedulerKind, TileMix),
-}
-
-impl Drop for PendingGuard<'_> {
-    fn drop(&mut self) {
-        if let Ok(mut map) = self.cache.map.lock() {
-            map.remove(&self.key);
-        }
-        self.cache.compiled.notify_all();
+        self.get_or_insert_with((tag, kind, *mix), || {
+            sched_cache
+                .get_or_schedule(tag, kind, graph, mix, profile)
+                .and_then(|schedule| StagePlan::compile(graph, schedule, profile).map(Arc::new))
+        })
     }
 }

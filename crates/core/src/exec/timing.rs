@@ -24,8 +24,8 @@
 //! The network *topology* is compiled once per (query, schedule) into a
 //! [`StagePlan`] (see [`crate::exec::plan`]); the simulation itself runs
 //! off that immutable plan plus a caller-owned [`SimScratch`], via
-//! [`simulate_plan`] / [`simulate_plan_traced`]. [`simulate`] and
-//! [`simulate_traced`] remain as compile-then-run conveniences.
+//! [`simulate_plan`], with optional trace and blame observers
+//! ([`Observe`]).
 //!
 //! The quantum loop carries an *analytic event-horizon solver*: after
 //! every quantum that made progress it solves, in closed form, for how
@@ -38,18 +38,14 @@
 //! recorders; only a trace sink forces pure stepping (jumped quanta
 //! emit no per-quantum events).
 
-use std::sync::Arc;
-
 use q100_trace::{BlameCause, TraceEvent, TraceSink};
 
 use crate::config::SimConfig;
 use crate::error::{CoreError, Result};
 use crate::exec::blame::BlameRecorder;
-use crate::exec::functional::GraphProfile;
 use crate::exec::plan::{PlanInput, PlanNode, PlanSource, SimScratch, StagePlan, StageTopo};
-use crate::isa::graph::{QueryGraph, SpatialOp};
+use crate::isa::graph::SpatialOp;
 use crate::resilience::Derate;
-use crate::sched::Schedule;
 use crate::tiles::{memory_latency_cycles, TileKind, FREQUENCY_MHZ, SORTER_BATCH};
 
 /// Endpoints of a communication link: the eleven tile kinds plus memory
@@ -227,124 +223,87 @@ pub(crate) fn consume_mode(op: &SpatialOp) -> ConsumeMode {
     }
 }
 
-/// Simulates one scheduled query and returns its timing result.
-///
-/// Compiles a throwaway [`StagePlan`] and runs it; sweeps that revisit
-/// a (query, schedule) should compile once and call [`simulate_plan`].
+/// Optional observers of one simulation. The default observes nothing
+/// and takes the exact untraced, unattributed path: the per-quantum hot
+/// loop only pays untaken branches.
+#[derive(Default)]
+pub struct Observe<'a> {
+    /// Receives structured [`TraceEvent`]s: temporal-instruction
+    /// boundaries, per-quantum tile occupancy and memory bandwidth
+    /// samples, stage stream-buffer fill/spill volumes, and per-link
+    /// peak-bandwidth updates. A sink forces pure stepping, since jumped
+    /// quanta emit no per-quantum events.
+    pub sink: Option<&'a mut (dyn TraceSink + 'a)>,
+    /// Classifies every node's cycles into the exhaustive
+    /// [`BlameCause`] taxonomy (see [`crate::exec::blame`]). The
+    /// quantum-jump fast path stays armed: jumped segments bulk-fold
+    /// their per-quantum blame into the recorder
+    /// (`BlameRecorder::fold_quantum`), so the ledger and the cycle
+    /// counts are bit-identical to pure stepping.
+    pub blame: Option<&'a mut BlameRecorder>,
+}
+
+/// The per-run constants every stage of one simulation shares.
+struct StageCtx<'a> {
+    plan: &'a StagePlan,
+    /// Derated NoC per-link cap, bytes per cycle (`None` = ideal).
+    noc_bpc: Option<f64>,
+    /// Dedicated point-to-point links, exempt from the per-link cap.
+    p2p: [[bool; TileKind::COUNT]; TileKind::COUNT],
+    /// Derated aggregate memory read cap, bytes per cycle.
+    read_bpc: Option<f64>,
+    /// Derated aggregate memory write cap, bytes per cycle.
+    write_bpc: Option<f64>,
+    derate: Option<&'a Derate>,
+}
+
+impl<'a> StageCtx<'a> {
+    fn new(plan: &'a StagePlan, config: &'a SimConfig) -> Self {
+        // Resilience derating (fault injection): provisioned bandwidth
+        // caps shrink by the respective factors, tiles stream slower
+        // inside the quantum loop, and stages pay transient stall
+        // cycles. `None` (the fault-free default) takes the exact
+        // pre-resilience code path.
+        let derate = config.derate.as_ref();
+        let derated = |gbps: Option<f64>, factor: fn(&Derate) -> f64| {
+            gbps.map(|g| gbps_to_bytes_per_cycle(g) * derate.map_or(1.0, factor))
+        };
+        let mut p2p = [[false; TileKind::COUNT]; TileKind::COUNT];
+        for &(src, dst) in &config.p2p_links {
+            p2p[src as usize][dst as usize] = true;
+        }
+        StageCtx {
+            plan,
+            noc_bpc: derated(config.bandwidth.noc_gbps, |d| d.noc_factor),
+            p2p,
+            read_bpc: derated(config.bandwidth.mem_read_gbps, |d| d.mem_read_factor),
+            write_bpc: derated(config.bandwidth.mem_write_gbps, |d| d.mem_write_factor),
+            derate,
+        }
+    }
+}
+
+/// Simulates a compiled plan under `config`, reusing `scratch` for all
+/// mutable state (the allocation-free sweep hot path), and reports to
+/// the observers in `obs`.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::BadConfig`] if the simulation fails to make
 /// progress (which would indicate an internal modelling bug) or the
 /// configuration is invalid.
-pub fn simulate(
-    graph: &QueryGraph,
-    schedule: &Schedule,
-    profile: &GraphProfile,
-    config: &SimConfig,
-) -> Result<TimingResult> {
-    simulate_traced(graph, schedule, profile, config, None)
-}
-
-/// [`simulate`], additionally emitting structured [`TraceEvent`]s into
-/// `sink`: temporal-instruction boundaries, per-quantum tile occupancy
-/// and memory bandwidth samples, stage stream-buffer fill/spill
-/// volumes, and per-link peak-bandwidth updates.
-///
-/// With `sink == None` this is exactly [`simulate`]: no events are
-/// constructed and the per-quantum hot loop only pays an untaken
-/// branch, so untraced simulations keep their performance.
-///
-/// # Errors
-///
-/// As [`simulate`].
-pub fn simulate_traced(
-    graph: &QueryGraph,
-    schedule: &Schedule,
-    profile: &GraphProfile,
-    config: &SimConfig,
-    sink: Option<&mut (dyn TraceSink + '_)>,
-) -> Result<TimingResult> {
-    config.validate()?;
-    let plan = StagePlan::compile(graph, Arc::new(schedule.clone()), profile)?;
-    let mut scratch = SimScratch::new();
-    simulate_plan_traced(&plan, config, &mut scratch, sink)
-}
-
-/// Simulates a compiled plan under `config`, reusing `scratch` for all
-/// mutable state — the allocation-free sweep hot path.
-///
-/// # Errors
-///
-/// As [`simulate`].
 pub fn simulate_plan(
     plan: &StagePlan,
     config: &SimConfig,
     scratch: &mut SimScratch,
-) -> Result<TimingResult> {
-    simulate_plan_traced(plan, config, scratch, None)
-}
-
-/// [`simulate_plan`] with an optional trace sink (see
-/// [`simulate_traced`] for the event inventory).
-///
-/// # Errors
-///
-/// As [`simulate`].
-pub fn simulate_plan_traced(
-    plan: &StagePlan,
-    config: &SimConfig,
-    scratch: &mut SimScratch,
-    sink: Option<&mut (dyn TraceSink + '_)>,
-) -> Result<TimingResult> {
-    simulate_plan_blamed(plan, config, scratch, sink, None)
-}
-
-/// [`simulate_plan_traced`], additionally classifying every node's
-/// cycles into the exhaustive [`BlameCause`] taxonomy through `blame`
-/// (see [`crate::exec::blame`]). With `blame == None` this is exactly
-/// [`simulate_plan_traced`]: the hot loop pays untaken branches only.
-/// The quantum-jump fast path stays armed either way — jumped segments
-/// bulk-fold their per-quantum blame into the recorder's counters
-/// ([`BlameRecorder::fold_quantum`]), so the attributed ledger and the
-/// simulated cycle counts are bit-identical to pure stepping.
-///
-/// # Errors
-///
-/// As [`simulate`].
-pub fn simulate_plan_blamed(
-    plan: &StagePlan,
-    config: &SimConfig,
-    scratch: &mut SimScratch,
-    mut sink: Option<&mut (dyn TraceSink + '_)>,
-    mut blame: Option<&mut BlameRecorder>,
+    mut obs: Observe<'_>,
 ) -> Result<TimingResult> {
     config.validate()?;
-    // Resilience derating (fault injection): provisioned bandwidth caps
-    // shrink by the respective factors, tiles stream slower inside the
-    // quantum loop, and stages pay transient stall cycles. `None` (the
-    // fault-free default) takes the exact pre-resilience code path.
-    let derate = config.derate.as_ref();
-    let noc_bpc = config
-        .bandwidth
-        .noc_gbps
-        .map(|g| gbps_to_bytes_per_cycle(g) * derate.map_or(1.0, |d| d.noc_factor));
-    // Dedicated point-to-point links are exempt from the per-link cap.
-    let mut p2p = [[false; TileKind::COUNT]; TileKind::COUNT];
-    for &(src, dst) in &config.p2p_links {
-        p2p[src as usize][dst as usize] = true;
-    }
-    let read_bpc = config
-        .bandwidth
-        .mem_read_gbps
-        .map(|g| gbps_to_bytes_per_cycle(g) * derate.map_or(1.0, |d| d.mem_read_factor));
-    let write_bpc = config
-        .bandwidth
-        .mem_write_gbps
-        .map(|g| gbps_to_bytes_per_cycle(g) * derate.map_or(1.0, |d| d.mem_write_factor));
+    let ctx = StageCtx::new(plan, config);
+    let derate = ctx.derate;
 
     scratch.begin_run(plan);
-    if let Some(b) = blame.as_deref_mut() {
+    if let Some(b) = obs.blame.as_deref_mut() {
         b.begin_run(plan);
     }
     let mut result = TimingResult {
@@ -364,7 +323,7 @@ pub fn simulate_plan_blamed(
 
     for (stage_idx, topo) in plan.stages.iter().enumerate() {
         let stage_start = result.cycles;
-        let peak_before = if let Some(s) = sink.as_deref_mut() {
+        let peak_before = if let Some(s) = obs.sink.as_deref_mut() {
             s.record(TraceEvent::TinstBegin {
                 stage: stage_idx as u32,
                 cycle: stage_start,
@@ -381,20 +340,13 @@ pub fn simulate_plan_blamed(
             None
         };
         let stage_cycles = run_stage(
-            topo,
+            &ctx,
+            stage_idx,
             scratch,
-            noc_bpc,
-            &p2p,
-            read_bpc,
-            write_bpc,
             &mut result,
             &mut read_samples,
             &mut write_samples,
-            stage_start,
-            derate,
-            stage_idx as u32,
-            sink.as_deref_mut(),
-            blame.as_deref_mut(),
+            &mut obs,
         )?;
         // Transient per-tinst stalls (resilience layer) are charged like
         // an extended memory startup latency.
@@ -402,10 +354,10 @@ pub fn simulate_plan_blamed(
         let cycles = stage_cycles + memory_latency_cycles() + stall;
         result.per_tinst_cycles.push(cycles);
         result.cycles += cycles;
-        if let Some(b) = blame.as_deref_mut() {
+        if let Some(b) = obs.blame.as_deref_mut() {
             b.end_stage(stage_idx, cycles, memory_latency_cycles(), stall);
         }
-        if let Some(s) = sink.as_deref_mut() {
+        if let Some(s) = obs.sink.as_deref_mut() {
             let end = result.cycles;
             if let Some(before) = peak_before {
                 for src in 0..ENDPOINTS {
@@ -465,25 +417,22 @@ impl TraceAccum {
     }
 }
 
-/// Runs one compiled temporal instruction to completion; returns its
-/// cycle count (excluding the memory startup latency).
-#[allow(clippy::too_many_arguments)]
+/// Runs temporal instruction `stage_idx` of the plan to completion;
+/// returns its cycle count (excluding the memory startup latency).
 fn run_stage(
-    topo: &StageTopo,
+    ctx: &StageCtx<'_>,
+    stage_idx: usize,
     scratch: &mut SimScratch,
-    noc_bpc: Option<f64>,
-    p2p: &[[bool; TileKind::COUNT]; TileKind::COUNT],
-    read_bpc: Option<f64>,
-    write_bpc: Option<f64>,
     result: &mut TimingResult,
     read_samples: &mut TraceAccum,
     write_samples: &mut TraceAccum,
-    base_cycle: u64,
-    derate: Option<&Derate>,
-    stage_idx: u32,
-    mut sink: Option<&mut (dyn TraceSink + '_)>,
-    mut blame: Option<&mut BlameRecorder>,
+    obs: &mut Observe<'_>,
 ) -> Result<u64> {
+    let StageCtx { plan, noc_bpc, ref p2p, read_bpc, write_bpc, derate } = *ctx;
+    let topo: &StageTopo = &plan.stages[stage_idx];
+    let Observe { sink, blame } = obs;
+    let base_cycle = result.cycles;
+    let stage_idx = stage_idx as u32;
     // Quantum: fine enough to resolve bandwidth peaks, coarse enough to
     // finish large volumes in a bounded number of steps (precomputed at
     // plan compile time from the stage's largest stream).
@@ -2067,6 +2016,7 @@ mod tests {
     use crate::isa::ops::CmpOp;
     use crate::sched::schedule_naive;
     use q100_columnar::{Column, Table, Value};
+    use std::sync::Arc;
 
     fn pipeline_fixture(rows: i64) -> (QueryGraph, MemoryCatalog) {
         let t = Table::new(vec![Column::from_ints("x", (0..rows).collect::<Vec<_>>())]).unwrap();
@@ -2076,6 +2026,16 @@ mod tests {
         let c = b.bool_gen_const(x, CmpOp::Lt, Value::Int(rows / 2));
         let _f = b.col_filter(x, c);
         (b.finish().unwrap(), cat)
+    }
+
+    fn simulate(
+        graph: &QueryGraph,
+        schedule: &crate::sched::Schedule,
+        profile: &crate::exec::GraphProfile,
+        config: &SimConfig,
+    ) -> Result<TimingResult> {
+        let plan = StagePlan::compile(graph, Arc::new(schedule.clone()), profile)?;
+        simulate_plan(&plan, config, &mut SimScratch::new(), Observe::default())
     }
 
     fn time_with(config: &SimConfig, graph: &QueryGraph, cat: &MemoryCatalog) -> TimingResult {

@@ -17,6 +17,7 @@
 //! See [`Simulator`] for the one-call entry point and the crate-level
 //! example there.
 
+pub mod cache;
 pub mod config;
 pub mod error;
 pub mod exec;
@@ -26,14 +27,14 @@ pub mod resilience;
 pub mod sched;
 pub mod tiles;
 
+pub use cache::BoundedCache;
 pub use config::{Bandwidth, SchedulerKind, SimConfig, TileMix};
 pub use error::{CoreError, Result};
 pub use exec::report::render_report;
 pub use exec::{
-    execute, execute_lean, jump_enabled, set_jump_enabled, simulate, simulate_traced,
-    BlameRecorder, BwStats, Catalog, ConnMatrix, Data, FunctionalRun, GraphProfile, MemoryCatalog,
-    PlanCache, SimOutcome, SimScratch, Simulator, StagePlan, TimingResult, ENDPOINTS,
-    MEMORY_ENDPOINT,
+    execute, execute_lean, jump_enabled, set_jump_enabled, simulate_plan, BlameRecorder, BwStats,
+    Catalog, ConnMatrix, Data, FunctionalRun, GraphProfile, MemoryCatalog, Observe, PlanCache,
+    SimOutcome, SimScratch, Simulator, StagePlan, TimingResult, ENDPOINTS, MEMORY_ENDPOINT,
 };
 pub use isa::{AggOp, AluOp, CmpOp, GraphBuilder, NodeId, PortRef, QueryGraph, SpatialOp};
 pub use power::DesignBudget;
@@ -47,7 +48,7 @@ pub use tiles::{TileKind, TileSpec, FREQUENCY_MHZ, SORTER_BATCH};
 
 /// Structured tracing and metrics (re-export of [`q100_trace`]): the
 /// timing simulator emits [`trace::TraceEvent`]s into any
-/// [`trace::TraceSink`] handed to the `*_traced` entry points, and the
+/// [`trace::TraceSink`] attached through [`Observe`], and the
 /// events export to Chrome `trace_event` JSON via
 /// [`trace::chrome_trace_json`].
 pub use q100_trace as trace;

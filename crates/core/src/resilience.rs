@@ -24,20 +24,20 @@
 //! so a fault-rate-0 run reproduces baseline cycle counts exactly.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use q100_trace::{Registry, TraceEvent, TraceSink};
 use q100_xrand::Rng;
 
+use crate::cache::BoundedCache;
 use crate::config::{SchedulerKind, SimConfig, TileMix};
 use crate::error::Result;
 use crate::exec::{
-    gbps_to_bytes_per_cycle, FunctionalRun, GraphProfile, PlanCache, SimOutcome, SimScratch,
-    Simulator, StagePlan, MEMORY_ENDPOINT,
+    gbps_to_bytes_per_cycle, FunctionalRun, GraphProfile, Observe, PlanCache, SimOutcome,
+    SimScratch, Simulator, StagePlan, MEMORY_ENDPOINT,
 };
 use crate::isa::QueryGraph;
-use crate::sched::{CacheStats, ScheduleCache};
+use crate::sched::ScheduleCache;
 use crate::tiles::TileKind;
 
 /// Maximum temporal-instruction slots considered for transient stalls
@@ -423,7 +423,7 @@ pub fn run_resilient(
     cache: &ScheduleCache,
     plans: &PlanCache,
     tag: u64,
-    mut sink: Option<&mut (dyn TraceSink + '_)>,
+    mut sink: Option<&mut dyn TraceSink>,
     registry: Option<&Registry>,
 ) -> Result<ResilientOutcome> {
     if let Some(sink) = sink.as_deref_mut() {
@@ -468,7 +468,8 @@ pub fn run_resilient(
 
     let sim = Simulator::new(&degraded);
     let mut scratch = SimScratch::new();
-    let outcome = sim.run_planned_traced(&plan, functional, graph, &mut scratch, sink)?;
+    let obs = Observe { sink, blame: None };
+    let outcome = sim.run_observed(&plan, functional, graph, &mut scratch, obs)?;
     if let Some(r) = registry {
         r.inc("sim.jumps", scratch.jumps);
         r.inc("sim.jumped_quanta", scratch.jumped_quanta);
@@ -853,178 +854,17 @@ pub fn estimate_class_cycles(
     cfg.derate = key.derate();
     let sim = Simulator::new(&cfg);
     let mut scratch = SimScratch::new();
-    let outcome = sim.run_planned_traced(plan, functional, graph, &mut scratch, None)?;
+    let outcome = sim.run_planned(plan, functional, graph, &mut scratch)?;
     Ok(outcome.cycles)
 }
 
 /// A thread-safe, bounded memo of [`ServiceCost`]s keyed by *query tag
-/// × [`CostKey`]* — the serving layer's twin of [`PlanCache`], with the
-/// same deterministic hit/miss definition (`misses = len + evictions −
-/// base_len`, independent of worker interleaving) and arbitrary-victim
-/// eviction.
-///
-/// Unlike [`PlanCache::get_or_compile`] this cache splits lookup and
-/// insertion: the two-phase serve engine batches lookups per
-/// deduplicated key, simulates the misses on a worker pool, and inserts
-/// the fresh costs afterwards.
-#[derive(Debug)]
-pub struct ServiceCostCache {
-    map: Mutex<HashMap<(u64, CostKey), ServiceCost>>,
-    /// Lookup call count since the last reset (job-count independent:
-    /// callers look each deduplicated key up exactly once).
-    lookups: AtomicU64,
-    /// Inserts (map size plus evictions) at the last reset;
-    /// `len + evictions - base_len` is the deterministic miss count.
-    base_len: AtomicU64,
-    capacity: usize,
-    evictions: AtomicU64,
-    registry: Option<Arc<Registry>>,
-}
-
-impl Default for ServiceCostCache {
-    fn default() -> Self {
-        ServiceCostCache {
-            map: Mutex::default(),
-            lookups: AtomicU64::new(0),
-            base_len: AtomicU64::new(0),
-            capacity: Self::DEFAULT_CAPACITY,
-            evictions: AtomicU64::new(0),
-            registry: None,
-        }
-    }
-}
-
-impl ServiceCostCache {
-    /// Default capacity. Costs are tiny (a key plus one `u64`), so the
-    /// bound is generous: a million-request soak at a 20% fault rate
-    /// populates high hundreds of thousands of classes (~0.9 per
-    /// request — measured; the quantized derate factors carry real
-    /// entropy) and must stay eviction-free for its unique-simulation
-    /// accounting to be exact, while a pathological stream still cannot
-    /// grow memory without bound (~200 B per entry → a ~400 MB ceiling).
-    pub const DEFAULT_CAPACITY: usize = 1 << 21;
-
-    /// An empty cache with the default capacity.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty cache bounded to `capacity` resident entries (min 1).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        ServiceCostCache { capacity: capacity.max(1), ..Self::default() }
-    }
-
-    /// An empty cache that additionally counts every lookup into
-    /// `registry` under `serve.cost_cache.lookups` (and evictions under
-    /// `serve.cost_cache.evictions`).
-    #[must_use]
-    pub fn with_metrics(registry: Arc<Registry>) -> Self {
-        ServiceCostCache { registry: Some(registry), ..Self::default() }
-    }
-
-    /// The memoized cost of `(tag, key)`, counting the lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
-    #[must_use]
-    pub fn get(&self, tag: u64, key: &CostKey) -> Option<ServiceCost> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(r) = &self.registry {
-            r.inc("serve.cost_cache.lookups", 1);
-        }
-        self.map.lock().unwrap().get(&(tag, *key)).copied()
-    }
-
-    /// Inserts a freshly computed cost, evicting an arbitrary resident
-    /// entry when at capacity (costs are pure functions of their keys,
-    /// so eviction only costs a re-simulation). An existing entry wins
-    /// over `cost` — concurrent fills of the same key stay consistent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
-    pub fn insert(&self, tag: u64, key: CostKey, cost: ServiceCost) {
-        let mut map = self.map.lock().unwrap();
-        let full_key = (tag, key);
-        if !map.contains_key(&full_key) && map.len() >= self.capacity {
-            if let Some(victim) = map.keys().next().copied() {
-                map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                if let Some(r) = &self.registry {
-                    r.inc("serve.cost_cache.evictions", 1);
-                }
-            }
-        }
-        map.entry(full_key).or_insert(cost);
-    }
-
-    /// Entries evicted to respect the capacity bound since construction
-    /// (or the last [`ServiceCostCache::clear`]).
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Current hit/miss counters (see [`CacheStats`] for the
-    /// deterministic definition).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        let len = self.map.lock().unwrap().len() as u64;
-        let inserted = len + self.evictions.load(Ordering::Relaxed);
-        let misses = inserted.saturating_sub(self.base_len.load(Ordering::Relaxed));
-        let lookups = self.lookups.load(Ordering::Relaxed);
-        CacheStats { hits: lookups.saturating_sub(misses), misses }
-    }
-
-    /// Zeroes the counters while keeping every memoized cost (e.g.
-    /// after seeding baselines, so reported misses count only real
-    /// serving-time simulations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
-    pub fn reset_stats(&self) {
-        let len = self.map.lock().unwrap().len() as u64;
-        let inserted = len + self.evictions.load(Ordering::Relaxed);
-        self.base_len.store(inserted, Ordering::Relaxed);
-        self.lookups.store(0, Ordering::Relaxed);
-    }
-
-    /// Drops every memoized cost and zeroes the counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
-    pub fn clear(&self) {
-        self.map.lock().unwrap().clear();
-        self.base_len.store(0, Ordering::Relaxed);
-        self.lookups.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-
-    /// Number of distinct memoized costs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.lock().unwrap().len()
-    }
-
-    /// Whether the cache holds no costs.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
+/// × [`CostKey`]* — the serving layer's twin of [`PlanCache`] (see
+/// [`BoundedCache`]). The two-phase serve engine uses the split
+/// [`BoundedCache::get`] / [`BoundedCache::insert`]: it batches lookups
+/// per deduplicated key, simulates the misses on a worker pool, and
+/// inserts the fresh costs afterwards.
+pub type ServiceCostCache = BoundedCache<(u64, CostKey), ServiceCost>;
 
 #[cfg(test)]
 mod tests {

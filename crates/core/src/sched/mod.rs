@@ -18,7 +18,10 @@ pub use exhaustive::schedule_semi_exhaustive;
 pub use naive::schedule_naive;
 
 use std::fmt;
+use std::sync::Arc;
 
+use crate::cache::BoundedCache;
+pub use crate::cache::CacheStats;
 use crate::config::{SchedulerKind, TileMix};
 use crate::error::{CoreError, Result};
 use crate::exec::functional::GraphProfile;
@@ -332,35 +335,8 @@ pub(crate) fn list_schedule(
     Schedule::from_stages(stage_of)
 }
 
-/// Hit/miss counters of a [`ScheduleCache`].
-///
-/// Defined deterministically: `misses` is the number of *distinct keys
-/// inserted* since the last reset — counted as `len + evictions`, so a
-/// key that was inserted and later evicted still counts as the miss it
-/// was — and `hits` is the remaining successful lookups. Under
-/// concurrent sweeps two workers may race to schedule the same key, but
-/// only one insertion wins, so these numbers are identical for any
-/// `--jobs` count — a property the experiments binary's stdout
-/// determinism check relies on. (Eviction victims are arbitrary, which
-/// stays invisible here as long as evicted keys are not looked up
-/// again; the serving path upholds that by memoizing compiled plans in
-/// each query's classifier.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that inserted a fresh schedule.
-    pub misses: u64,
-}
-
-impl fmt::Display for CacheStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} hits / {} misses", self.hits, self.misses)
-    }
-}
-
 /// A thread-safe memo of schedules keyed by *query tag × scheduler ×
-/// tile mix*.
+/// tile mix* (see [`BoundedCache`]).
 ///
 /// A schedule depends only on the query graph, the scheduling
 /// algorithm, the tile mix, and the volume profile. For a prepared
@@ -370,79 +346,9 @@ impl fmt::Display for CacheStats {
 /// distinct (graph, profile) pair a stable `tag` and the cache returns
 /// the memoized [`Schedule`] on every revisit, leaving only the fluid
 /// timing layer to re-run.
-///
-/// The scheduler itself runs outside the map lock, so concurrent sweep
-/// workers never serialize on a scheduling search — at worst two
-/// workers race to fill the same key and one result wins.
-///
-/// The cache is bounded: inserting a fresh key at capacity first evicts
-/// one resident entry (arbitrary victim — every value is a pure
-/// function of its key, so eviction can never change a result, only
-/// force a recomputation) and bumps the eviction counter plus the
-/// `cache.evictions` registry metric. The default capacity is far above
-/// what any shipped sweep populates, so evictions stay at zero unless a
-/// long-running serving loop genuinely churns through more
-/// configurations than the bound.
-#[derive(Debug)]
-pub struct ScheduleCache {
-    map: std::sync::Mutex<
-        std::collections::HashMap<(u64, SchedulerKind, TileMix), std::sync::Arc<Schedule>>,
-    >,
-    /// Successful lookups since the last reset (call count, which is
-    /// independent of worker interleaving).
-    lookups: std::sync::atomic::AtomicU64,
-    /// Inserts (map size plus evictions) at the last reset;
-    /// `len + evictions - base_len` is the deterministic miss count.
-    base_len: std::sync::atomic::AtomicU64,
-    /// Maximum resident entries before eviction kicks in.
-    capacity: usize,
-    /// Entries evicted to respect `capacity` since construction (or the
-    /// last [`ScheduleCache::clear`]).
-    evictions: std::sync::atomic::AtomicU64,
-    registry: Option<std::sync::Arc<q100_trace::Registry>>,
-}
-
-impl Default for ScheduleCache {
-    fn default() -> Self {
-        ScheduleCache {
-            map: std::sync::Mutex::default(),
-            lookups: std::sync::atomic::AtomicU64::new(0),
-            base_len: std::sync::atomic::AtomicU64::new(0),
-            capacity: Self::DEFAULT_CAPACITY,
-            evictions: std::sync::atomic::AtomicU64::new(0),
-            registry: None,
-        }
-    }
-}
+pub type ScheduleCache = BoundedCache<(u64, SchedulerKind, TileMix), Arc<Schedule>>;
 
 impl ScheduleCache {
-    /// Default capacity: a full 19-query workload revisits well under a
-    /// hundred (tag, scheduler, mix) keys per sweep, and even the chaos
-    /// experiments' degraded mixes stay in the hundreds, so 4096 keeps
-    /// every shipped run eviction-free while bounding a pathological
-    /// serving loop to a few MB of schedules.
-    pub const DEFAULT_CAPACITY: usize = 4096;
-
-    /// An empty cache with the default capacity.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty cache bounded to `capacity` resident entries (min 1).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        ScheduleCache { capacity: capacity.max(1), ..Self::default() }
-    }
-
-    /// An empty cache that additionally counts every successful lookup
-    /// into `registry` under `sched.cache.lookups` (and evictions under
-    /// `cache.evictions`).
-    #[must_use]
-    pub fn with_metrics(registry: std::sync::Arc<q100_trace::Registry>) -> Self {
-        ScheduleCache { registry: Some(registry), ..Self::default() }
-    }
-
     /// Returns the memoized schedule for `(tag, kind, mix)`, running
     /// the scheduler on a miss.
     ///
@@ -454,10 +360,6 @@ impl ScheduleCache {
     /// # Errors
     ///
     /// Propagates scheduler errors; failures are not cached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
     pub fn get_or_schedule(
         &self,
         tag: u64,
@@ -465,103 +367,10 @@ impl ScheduleCache {
         graph: &QueryGraph,
         mix: &TileMix,
         profile: &GraphProfile,
-    ) -> Result<std::sync::Arc<Schedule>> {
-        let key = (tag, kind, *mix);
-        if let Some(s) = self.map.lock().unwrap().get(&key) {
-            self.note_lookup();
-            return Ok(std::sync::Arc::clone(s));
-        }
-        let fresh = std::sync::Arc::new(schedule(kind, graph, mix, profile)?);
-        self.note_lookup();
-        let mut map = self.map.lock().unwrap();
-        if !map.contains_key(&key) && map.len() >= self.capacity {
-            if let Some(victim) = map.keys().next().copied() {
-                map.remove(&victim);
-                self.note_eviction();
-            }
-        }
-        let entry = map.entry(key).or_insert(fresh);
-        Ok(std::sync::Arc::clone(entry))
-    }
-
-    fn note_lookup(&self) {
-        self.lookups.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if let Some(r) = &self.registry {
-            r.inc("sched.cache.lookups", 1);
-        }
-    }
-
-    fn note_eviction(&self) {
-        self.evictions.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if let Some(r) = &self.registry {
-            r.inc("cache.evictions", 1);
-        }
-    }
-
-    /// Entries evicted to respect the capacity bound since construction
-    /// (or the last [`ScheduleCache::clear`]).
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Current hit/miss counters (see [`CacheStats`] for the
-    /// deterministic definition).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        use std::sync::atomic::Ordering;
-        let len = self.map.lock().unwrap().len() as u64;
-        let inserted = len + self.evictions.load(Ordering::Relaxed);
-        let misses = inserted.saturating_sub(self.base_len.load(Ordering::Relaxed));
-        let lookups = self.lookups.load(Ordering::Relaxed);
-        CacheStats { hits: lookups.saturating_sub(misses), misses }
-    }
-
-    /// Zeroes the counters while keeping every memoized schedule, so
-    /// each sweep of a multi-figure run reports its own hit/miss line.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
-    pub fn reset_stats(&self) {
-        use std::sync::atomic::Ordering;
-        let len = self.map.lock().unwrap().len() as u64;
-        let inserted = len + self.evictions.load(Ordering::Relaxed);
-        self.base_len.store(inserted, Ordering::Relaxed);
-        self.lookups.store(0, Ordering::Relaxed);
-    }
-
-    /// Number of distinct memoized schedules.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.lock().unwrap().len()
-    }
-
-    /// Whether the cache holds no schedules.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all memoized schedules and zeroes the counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
-    pub fn clear(&self) {
-        use std::sync::atomic::Ordering;
-        self.map.lock().unwrap().clear();
-        self.base_len.store(0, Ordering::Relaxed);
-        self.lookups.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
+    ) -> Result<Arc<Schedule>> {
+        self.get_or_insert_with((tag, kind, *mix), || {
+            schedule(kind, graph, mix, profile).map(Arc::new)
+        })
     }
 }
 
@@ -670,100 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_cache_memoizes_per_key() {
-        let g = chain_graph();
-        let profile = GraphProfile { nodes: vec![Default::default(); g.len()] };
-        let cache = ScheduleCache::new();
-        let mix = TileMix::uniform(1);
-        let a = cache.get_or_schedule(7, SchedulerKind::DataAware, &g, &mix, &profile).unwrap();
-        let b = cache.get_or_schedule(7, SchedulerKind::DataAware, &g, &mix, &profile).unwrap();
-        assert!(std::sync::Arc::ptr_eq(&a, &b), "second lookup must reuse the first schedule");
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-        assert_eq!(cache.len(), 1);
-
-        // A different mix, scheduler, or tag is a distinct entry.
-        let _ = cache.get_or_schedule(7, SchedulerKind::Naive, &g, &mix, &profile).unwrap();
-        let _ = cache
-            .get_or_schedule(7, SchedulerKind::DataAware, &g, &TileMix::uniform(2), &profile)
-            .unwrap();
-        let _ = cache.get_or_schedule(8, SchedulerKind::DataAware, &g, &mix, &profile).unwrap();
-        assert_eq!(cache.len(), 4);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 4 });
-
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), CacheStats::default());
-    }
-
-    #[test]
-    fn schedule_cache_reset_stats_keeps_schedules() {
-        let g = chain_graph();
-        let profile = GraphProfile { nodes: vec![Default::default(); g.len()] };
-        let registry = std::sync::Arc::new(q100_trace::Registry::new());
-        let cache = ScheduleCache::with_metrics(std::sync::Arc::clone(&registry));
-        let mix = TileMix::uniform(1);
-        let _ = cache.get_or_schedule(1, SchedulerKind::Naive, &g, &mix, &profile).unwrap();
-        let _ = cache.get_or_schedule(1, SchedulerKind::Naive, &g, &mix, &profile).unwrap();
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-        assert_eq!(registry.counter("sched.cache.lookups"), 2);
-
-        cache.reset_stats();
-        assert_eq!(cache.stats(), CacheStats::default());
-        assert_eq!(cache.len(), 1, "reset_stats must not drop memoized schedules");
-
-        // The next sweep over the same key is all hits.
-        let _ = cache.get_or_schedule(1, SchedulerKind::Naive, &g, &mix, &profile).unwrap();
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 0 });
-    }
-
-    #[test]
-    fn schedule_cache_capacity_bounds_residency_and_counts_evictions() {
-        let g = chain_graph();
-        let profile = GraphProfile { nodes: vec![Default::default(); g.len()] };
-        let registry = std::sync::Arc::new(q100_trace::Registry::new());
-        let cache = ScheduleCache {
-            registry: Some(std::sync::Arc::clone(&registry)),
-            ..ScheduleCache::with_capacity(2)
-        };
-        for tag in 0..5 {
-            let _ = cache
-                .get_or_schedule(tag, SchedulerKind::Naive, &g, &TileMix::uniform(1), &profile)
-                .unwrap();
-        }
-        assert_eq!(cache.len(), 2, "capacity must bound resident entries");
-        assert_eq!(cache.evictions(), 3);
-        assert_eq!(registry.counter("cache.evictions"), 3);
-        // Evicted entries still count as the misses they were: 5 keys
-        // inserted, none ever answered from the cache.
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 5 });
-        // An evicted-then-revisited key still resolves (recompute, not
-        // error). Whether key 0 survived eviction is victim-dependent,
-        // so only the lookup total is asserted: the revisit is exactly
-        // one hit or one miss, never a phantom.
-        let _ = cache
-            .get_or_schedule(0, SchedulerKind::Naive, &g, &TileMix::uniform(1), &profile)
-            .unwrap();
-        let s = cache.stats();
-        assert_eq!(s.hits + s.misses, 6);
-        cache.clear();
-        assert_eq!(cache.evictions(), 0);
-    }
-
-    #[test]
-    fn default_capacity_sees_zero_evictions_in_ordinary_use() {
-        let g = chain_graph();
-        let profile = GraphProfile { nodes: vec![Default::default(); g.len()] };
-        let cache = ScheduleCache::new();
-        for tag in 0..64 {
-            let _ = cache
-                .get_or_schedule(tag, SchedulerKind::Naive, &g, &TileMix::uniform(1), &profile)
-                .unwrap();
-        }
-        assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.len(), 64);
-    }
-
-    #[test]
     fn schedule_cache_key_includes_full_tile_mix() {
         // Regression test for the resilience layer: rescheduling a query
         // on a *degraded* mix (same tag, same scheduler) must never be
@@ -789,15 +504,5 @@ mod tests {
         // ...while the full-mix schedule packs both ColFilters into one
         // stage and would be illegal on the degraded machine.
         assert!(s_full.validate(&g, &degraded).is_err());
-    }
-
-    #[test]
-    fn schedule_cache_does_not_memoize_failures() {
-        let g = chain_graph();
-        let profile = GraphProfile { nodes: vec![Default::default(); g.len()] };
-        let cache = ScheduleCache::new();
-        let no_stitch = TileMix::uniform(1).with_count(TileKind::Stitch, 0);
-        assert!(cache.get_or_schedule(0, SchedulerKind::Naive, &g, &no_stitch, &profile).is_err());
-        assert!(cache.is_empty());
     }
 }

@@ -9,8 +9,9 @@ use q100_xrand::Rng;
 
 use q100_columnar::{Column, MemoryCatalog, Table, Value};
 use q100_core::{
-    check_feasible, execute, schedule, AggOp, AluOp, Bandwidth, CmpOp, CoreError, GraphProfile,
-    PortRef, QueryGraph, SchedulerKind, SimConfig, Simulator, TileKind, TileMix,
+    check_feasible, execute, schedule, simulate_plan, AggOp, AluOp, Bandwidth, CmpOp, CoreError,
+    GraphProfile, Observe, PortRef, QueryGraph, SchedulerKind, SimConfig, SimScratch, Simulator,
+    StagePlan, TileKind, TileMix,
 };
 
 const CASES: u64 = 64;
@@ -360,11 +361,11 @@ fn quantum_jump_matches_pure_stepping_on_random_graphs() {
         let config = SimConfig::new(mix);
         let sched = schedule(config.scheduler, &g, &config.mix, &run.profile).unwrap();
         let plan = q100_core::StagePlan::compile(&g, Arc::new(sched), &run.profile).unwrap();
-        let mut scratch = q100_core::SimScratch::new();
-        let jumped = q100_core::exec::simulate_plan(&plan, &config, &mut scratch).unwrap();
+        let mut scratch = SimScratch::new();
+        let jumped = simulate_plan(&plan, &config, &mut scratch, Observe::default()).unwrap();
         jumped_quanta += scratch.jumped_quanta;
         scratch.jump_enabled = false;
-        let stepped = q100_core::exec::simulate_plan(&plan, &config, &mut scratch).unwrap();
+        let stepped = simulate_plan(&plan, &config, &mut scratch, Observe::default()).unwrap();
         assert_eq!(jumped, stepped, "jumped and stepped timing must agree bit-for-bit");
         compared += 1;
     });
@@ -375,77 +376,79 @@ fn quantum_jump_matches_pure_stepping_on_random_graphs() {
     assert!(jumped_quanta > 0, "no case engaged the quantum-jump fast path");
 }
 
+/// One random executable graph under a random undersized mix and random
+/// derates (slowed tiles, throttled NoC/memory, per-stage fault stalls),
+/// compiled into a plan; `None` when the draw is not executable.
+fn derated_case(rng: &mut Rng) -> Option<(StagePlan, SimConfig)> {
+    let g = random_graph(rng);
+    let values = rng.gen_vec(1..3000, |r| r.gen_range(-1000i64..1000));
+    let cat = catalog_of(&values);
+    let run = execute(&g, &cat).ok()?;
+    let mut mix = TileMix::uniform(0);
+    for kind in TileKind::ALL {
+        mix = mix.with_count(kind, rng.gen_range(1u32..4));
+    }
+    check_feasible(&g, &mix).ok()?;
+    let mut derate = q100_core::Derate::none();
+    for f in &mut derate.tile_factor {
+        *f = 0.5 + rng.gen_range(0u32..500) as f64 / 1000.0;
+    }
+    derate.noc_factor = 0.5 + rng.gen_range(0u32..500) as f64 / 1000.0;
+    derate.mem_read_factor = 0.5 + rng.gen_range(0u32..500) as f64 / 1000.0;
+    derate.mem_write_factor = 0.5 + rng.gen_range(0u32..500) as f64 / 1000.0;
+    derate.tinst_stall_cycles =
+        (0..rng.gen_range(0usize..4)).map(|_| rng.gen_range(0u64..200)).collect();
+    let mut config = SimConfig::new(mix);
+    // Derating only throttles provisioned caps; draw caps half the time
+    // so the derated-bandwidth jump paths engage.
+    if rng.gen_range(0u32..2) == 0 {
+        let cap = 1.0 + rng.gen_range(0u32..20_000) as f64 / 1000.0;
+        config = config.with_bandwidth(Bandwidth {
+            noc_gbps: Some(cap),
+            mem_read_gbps: Some(cap),
+            mem_write_gbps: Some(cap),
+        });
+    }
+    config.derate = Some(derate);
+    let sched = schedule(config.scheduler, &g, &config.mix, &run.profile).unwrap();
+    let plan = StagePlan::compile(&g, std::sync::Arc::new(sched), &run.profile).unwrap();
+    Some((plan, config))
+}
+
 /// The quantum-jump fast path stays invisible under fault derating and
-/// blame attribution: on random executable graphs × random derates
-/// (slowed tiles, throttled NoC/memory, per-stage fault stalls), a
+/// blame attribution: on random derated cases ([`derated_case`]), a
 /// jumped run is bit-identical to pure stepping — with and without a
 /// [`q100_core::BlameRecorder`] attached — and the folded blame ledgers
-/// match the stepped ones entry for entry.
+/// match the stepped ones entry for entry. The jump counters are a
+/// function of the plan alone, whatever the scratch ran before.
 #[test]
 fn quantum_jump_matches_pure_stepping_with_derates_and_blame() {
-    use std::sync::Arc;
-
     let mut compared = 0u64;
     let mut jumped_quanta = 0u64;
     for_each_case(|rng| {
-        let g = random_graph(rng);
-        let values = rng.gen_vec(1..3000, |r| r.gen_range(-1000i64..1000));
-        let cat = catalog_of(&values);
-        let Ok(run) = execute(&g, &cat) else { return };
-        let mut mix = TileMix::uniform(0);
-        for kind in TileKind::ALL {
-            mix = mix.with_count(kind, rng.gen_range(1u32..4));
-        }
-        if check_feasible(&g, &mix).is_err() {
-            return;
-        }
-        let mut derate = q100_core::Derate::none();
-        for f in &mut derate.tile_factor {
-            *f = 0.5 + rng.gen_range(0u32..500) as f64 / 1000.0;
-        }
-        derate.noc_factor = 0.5 + rng.gen_range(0u32..500) as f64 / 1000.0;
-        derate.mem_read_factor = 0.5 + rng.gen_range(0u32..500) as f64 / 1000.0;
-        derate.mem_write_factor = 0.5 + rng.gen_range(0u32..500) as f64 / 1000.0;
-        derate.tinst_stall_cycles =
-            (0..rng.gen_range(0usize..4)).map(|_| rng.gen_range(0u64..200)).collect();
-        let mut config = SimConfig::new(mix);
-        // Derating only throttles provisioned caps; draw caps half the
-        // time so the derated-bandwidth jump paths engage.
-        if rng.gen_range(0u32..2) == 0 {
-            let cap = 1.0 + rng.gen_range(0u32..20_000) as f64 / 1000.0;
-            config = config.with_bandwidth(Bandwidth {
-                noc_gbps: Some(cap),
-                mem_read_gbps: Some(cap),
-                mem_write_gbps: Some(cap),
-            });
-        }
-        config.derate = Some(derate);
-        let sched = schedule(config.scheduler, &g, &config.mix, &run.profile).unwrap();
-        let plan = q100_core::StagePlan::compile(&g, Arc::new(sched), &run.profile).unwrap();
+        let Some((plan, config)) = derated_case(rng) else { return };
 
-        let mut scratch = q100_core::SimScratch::new();
-        let jumped = q100_core::exec::simulate_plan(&plan, &config, &mut scratch).unwrap();
+        let mut scratch = SimScratch::new();
+        let jumped = simulate_plan(&plan, &config, &mut scratch, Observe::default()).unwrap();
         jumped_quanta += scratch.jumped_quanta;
         let mut jumped_rec = q100_core::BlameRecorder::new();
-        let jumped_blamed = q100_core::exec::simulate_plan_blamed(
+        let jumped_blamed = simulate_plan(
             &plan,
             &config,
             &mut scratch,
-            None,
-            Some(&mut jumped_rec),
+            Observe { sink: None, blame: Some(&mut jumped_rec) },
         )
         .unwrap();
         jumped_quanta += scratch.jumped_quanta;
 
         scratch.jump_enabled = false;
-        let stepped = q100_core::exec::simulate_plan(&plan, &config, &mut scratch).unwrap();
+        let stepped = simulate_plan(&plan, &config, &mut scratch, Observe::default()).unwrap();
         let mut stepped_rec = q100_core::BlameRecorder::new();
-        let stepped_blamed = q100_core::exec::simulate_plan_blamed(
+        let stepped_blamed = simulate_plan(
             &plan,
             &config,
             &mut scratch,
-            None,
-            Some(&mut stepped_rec),
+            Observe { sink: None, blame: Some(&mut stepped_rec) },
         )
         .unwrap();
 
@@ -459,6 +462,26 @@ fn quantum_jump_matches_pure_stepping_with_derates_and_blame() {
     });
     assert!(compared >= CASES / 4, "only {compared} executable cases out of {CASES}");
     assert!(jumped_quanta > 0, "no derated case engaged the quantum-jump fast path");
+
+    // A sweep worker's scratch runs plan after plan. Replay that over
+    // more seeds than the cases above (a leftover lock kind only shows
+    // on a few plan pairs): one reused scratch runs every case's plan in
+    // order, and each run must count what a fresh scratch counts.
+    let counters = |s: &SimScratch| (s.jumps, s.jumped_quanta, s.stepped_quanta);
+    let mut reused = SimScratch::new();
+    for seed in 0..256 {
+        let mut rng = Rng::seed_from_u64(0xC0DE_0000 + seed);
+        let Some((plan, config)) = derated_case(&mut rng) else { continue };
+        let mut fresh = SimScratch::new();
+        let first = simulate_plan(&plan, &config, &mut fresh, Observe::default()).unwrap();
+        let again = simulate_plan(&plan, &config, &mut reused, Observe::default()).unwrap();
+        assert_eq!(first, again);
+        assert_eq!(
+            counters(&reused),
+            counters(&fresh),
+            "seed {seed}: jump counters must not depend on what the scratch ran before"
+        );
+    }
 }
 
 /// Stall-blame accounting is exhaustive: on random executable graphs ×
@@ -494,15 +517,14 @@ fn blame_accounting_is_exhaustive_on_random_graphs() {
         }
         let sched = schedule(config.scheduler, &g, &config.mix, &run.profile).unwrap();
         let plan = q100_core::StagePlan::compile(&g, Arc::new(sched), &run.profile).unwrap();
-        let mut scratch = q100_core::SimScratch::new();
-        let plain = q100_core::exec::simulate_plan(&plan, &config, &mut scratch).unwrap();
+        let mut scratch = SimScratch::new();
+        let plain = simulate_plan(&plan, &config, &mut scratch, Observe::default()).unwrap();
         let mut rec = q100_core::BlameRecorder::new();
-        let blamed = q100_core::exec::simulate_plan_blamed(
+        let blamed = simulate_plan(
             &plan,
             &config,
             &mut scratch,
-            None,
-            Some(&mut rec),
+            Observe { sink: None, blame: Some(&mut rec) },
         )
         .unwrap();
         assert_eq!(plain, blamed, "blame recording must not perturb timing");

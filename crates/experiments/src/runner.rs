@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use q100_core::trace::{Registry, RingRecorder, TraceStream};
 use q100_core::{
-    CacheStats, FunctionalRun, PlanCache, QueryGraph, ScheduleCache, SimConfig, SimOutcome,
-    SimScratch, Simulator, StagePlan,
+    BlameRecorder, CacheStats, FunctionalRun, Observe, PlanCache, QueryGraph, ScheduleCache,
+    SimConfig, SimOutcome, SimScratch, Simulator, StagePlan,
 };
 use q100_tpch::queries::{self, TpchQuery};
 use q100_tpch::TpchData;
@@ -129,8 +129,8 @@ impl Workload {
             })
             .collect();
         let metrics = Arc::new(Registry::new());
-        let sched_cache = ScheduleCache::with_metrics(Arc::clone(&metrics));
-        let plan_cache = PlanCache::with_metrics(Arc::clone(&metrics));
+        let sched_cache = ScheduleCache::with_metrics(Arc::clone(&metrics), "sched.cache.lookups");
+        let plan_cache = PlanCache::with_metrics(Arc::clone(&metrics), "plan.cache.lookups");
         Workload { db, queries, sched_cache, plan_cache, metrics }
     }
 
@@ -175,57 +175,26 @@ impl Workload {
     /// configurations can).
     #[must_use]
     pub fn simulate(&self, prepared: &PreparedQuery, config: &SimConfig) -> SimOutcome {
-        let plan = self.plan(prepared, config);
-        let outcome = SCRATCH
-            .with(|s| {
-                let mut s = s.borrow_mut();
-                let r = Simulator::new(config).run_planned(
-                    &plan,
-                    &prepared.functional,
-                    &prepared.graph,
-                    &mut s,
-                );
-                self.record_jump_stats(&s);
-                r
-            })
-            .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", prepared.query.name));
-        self.metrics.inc("sim.runs", 1);
-        self.metrics.observe("sim.cycles", outcome.cycles as f64);
-        outcome
+        self.simulate_observed(prepared, config, Observe::default())
     }
 
     /// Runs `prepared` under `config` with tracing enabled, returning
     /// the outcome and the recorded event stream (named after the
-    /// query). Uses the same memoized schedule as [`simulate`], so the
+    /// query). Uses the same memoized schedule as [`simulate`](Self::simulate), so the
     /// traced timing matches the untraced sweeps.
     ///
     /// # Panics
     ///
-    /// As [`simulate`].
+    /// As [`simulate`](Self::simulate).
     #[must_use]
     pub fn simulate_traced(
         &self,
         prepared: &PreparedQuery,
         config: &SimConfig,
     ) -> (SimOutcome, TraceStream) {
-        let plan = self.plan(prepared, config);
         let mut recorder = RingRecorder::new();
-        let outcome = SCRATCH
-            .with(|s| {
-                let mut s = s.borrow_mut();
-                let r = Simulator::new(config).run_planned_traced(
-                    &plan,
-                    &prepared.functional,
-                    &prepared.graph,
-                    &mut s,
-                    Some(&mut recorder),
-                );
-                self.record_jump_stats(&s);
-                r
-            })
-            .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", prepared.query.name));
-        self.metrics.inc("sim.runs", 1);
-        self.metrics.observe("sim.cycles", outcome.cycles as f64);
+        let obs = Observe { sink: Some(&mut recorder), blame: None };
+        let outcome = self.simulate_observed(prepared, config, obs);
         if recorder.dropped() > 0 {
             eprintln!(
                 "warning: {} trace overflowed, {} oldest events dropped",
@@ -238,31 +207,45 @@ impl Workload {
 
     /// Simulates one prepared query under `config` with stall-blame
     /// attribution, returning the outcome and the per-node cycle
-    /// ledger. Uses the same memoized plan as [`simulate`], so the
+    /// ledger. Uses the same memoized plan as [`simulate`](Self::simulate), so the
     /// attributed cycle count is bit-identical to the sweeps (the
     /// quantum-jump fast path stays armed and bulk-folds blame).
     ///
     /// # Panics
     ///
-    /// As [`simulate`].
+    /// As [`simulate`](Self::simulate).
     #[must_use]
     pub fn simulate_blamed(
         &self,
         prepared: &PreparedQuery,
         config: &SimConfig,
     ) -> (SimOutcome, q100_core::trace::BlameReport) {
+        let mut recorder = BlameRecorder::new();
+        let obs = Observe { sink: None, blame: Some(&mut recorder) };
+        let outcome = self.simulate_observed(prepared, config, obs);
+        let report = recorder.report(&outcome.timing, &config.mix);
+        (outcome, report)
+    }
+
+    /// The one body behind [`simulate`](Self::simulate), [`simulate_traced`](Self::simulate_traced) and
+    /// [`simulate_blamed`]: memoized plan, this worker's scratch, jump
+    /// statistics, and the `sim.runs` / `sim.cycles` metrics.
+    fn simulate_observed(
+        &self,
+        prepared: &PreparedQuery,
+        config: &SimConfig,
+        obs: Observe<'_>,
+    ) -> SimOutcome {
         let plan = self.plan(prepared, config);
-        let mut recorder = q100_core::BlameRecorder::new();
         let outcome = SCRATCH
             .with(|s| {
                 let mut s = s.borrow_mut();
-                let r = Simulator::new(config).run_planned_blamed(
+                let r = Simulator::new(config).run_observed(
                     &plan,
                     &prepared.functional,
                     &prepared.graph,
                     &mut s,
-                    None,
-                    Some(&mut recorder),
+                    obs,
                 );
                 self.record_jump_stats(&s);
                 r
@@ -270,8 +253,7 @@ impl Workload {
             .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", prepared.query.name));
         self.metrics.inc("sim.runs", 1);
         self.metrics.observe("sim.cycles", outcome.cycles as f64);
-        let report = recorder.report(&outcome.timing, &config.mix);
-        (outcome, report)
+        outcome
     }
 
     /// Traces every query of the workload under `config`, serially (one

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use q100_core::exec::simulate_plan;
+use q100_core::exec::{simulate_plan, Observe};
 use q100_core::{schedule, SimScratch, StagePlan};
 use q100_experiments::{paper_designs, Workload};
 
@@ -127,10 +127,10 @@ fn quantum_jump_is_bit_identical_on_tpch() {
                 StagePlan::compile(&prepared.graph, Arc::new(sched), &prepared.functional.profile)
                     .unwrap();
             let mut scratch = SimScratch::new();
-            let jumped = simulate_plan(&plan, &config, &mut scratch).unwrap();
+            let jumped = simulate_plan(&plan, &config, &mut scratch, Observe::default()).unwrap();
             jumped_quanta += scratch.jumped_quanta;
             scratch.jump_enabled = false;
-            let stepped = simulate_plan(&plan, &config, &mut scratch).unwrap();
+            let stepped = simulate_plan(&plan, &config, &mut scratch, Observe::default()).unwrap();
             assert_eq!(jumped, stepped, "{design}/{}", prepared.query.name);
         }
     }

@@ -62,8 +62,8 @@ impl<'w> Q100Device<'w> {
     /// any query cannot be scheduled on the healthy mix.
     pub fn new(config: SimConfig, queries: Vec<ServiceQuery<'w>>) -> Result<Self> {
         config.validate()?;
-        let sched_cache = ScheduleCache::default();
-        let plans = PlanCache::default();
+        let sched_cache = ScheduleCache::new();
+        let plans = PlanCache::new();
         let empty = FaultScenario { faults: Vec::new() };
         let mut baseline_cycles = Vec::with_capacity(queries.len());
         for (tag, q) in queries.iter().enumerate() {
@@ -81,8 +81,14 @@ impl<'w> Q100Device<'w> {
         // query: scenarios whose faults are invisible to the simulator
         // (masked derates, clamped-away kills, stall-only scenarios)
         // collapse onto these keys and never simulate. The stats reset
-        // keeps seeded entries out of the reported miss counts.
-        let costs = ServiceCostCache::new();
+        // keeps seeded entries out of the reported miss counts. Costs
+        // are tiny (a key plus one `u64`), so the bound is generous: a
+        // million-request soak at a 20% fault rate populates high
+        // hundreds of thousands of classes and must stay eviction-free
+        // for its unique-simulation accounting to be exact, while a
+        // pathological stream still cannot grow memory without bound
+        // (~200 B per entry, a ~400 MB ceiling).
+        let costs = ServiceCostCache::with_capacity(1 << 21);
         let mut classifiers = Vec::with_capacity(queries.len());
         let mut healthy_keys = Vec::with_capacity(queries.len());
         for (tag, q) in queries.iter().enumerate() {
@@ -96,7 +102,7 @@ impl<'w> Q100Device<'w> {
                 &plans,
                 tag as u64,
             );
-            costs.insert(tag as u64, class.key, ServiceCost::Cycles(baseline_cycles[tag]));
+            costs.insert((tag as u64, class.key), ServiceCost::Cycles(baseline_cycles[tag]));
             healthy_keys.push(class.key);
             classifiers.push(classifier);
         }

@@ -315,7 +315,7 @@ fn resolve_costs(
             if round_cost.contains_key(&qk) || misses.contains(&qk) {
                 continue;
             }
-            match device.cost_cache().get(qk.0 as u64, &probe.key) {
+            match device.cost_cache().get(&(qk.0 as u64, probe.key)) {
                 Some(cost) => {
                     round_cost.insert(qk, cost);
                 }
@@ -332,7 +332,7 @@ fn resolve_costs(
         for (&(query, key), &enc) in misses.iter().zip(&fresh) {
             let cost =
                 if enc == COST_FAILED { ServiceCost::Failed } else { ServiceCost::Cycles(enc) };
-            device.cost_cache().insert(query as u64, key, cost);
+            device.cost_cache().insert((query as u64, key), cost);
             round_cost.insert((query, key), cost);
         }
 

@@ -188,11 +188,11 @@ fn probed_costs_match_direct_service_cycles() {
                 let probe = device.probe_cost(query, &scenario);
                 let cost = match probe.known {
                     Some(c) => c,
-                    None => match device.cost_cache().get(query as u64, &probe.key) {
+                    None => match device.cost_cache().get(&(query as u64, probe.key)) {
                         Some(c) => c,
                         None => {
                             let c = device.class_cost(query, &probe.key);
-                            device.cost_cache().insert(query as u64, probe.key, c);
+                            device.cost_cache().insert((query as u64, probe.key), c);
                             c
                         }
                     },

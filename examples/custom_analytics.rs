@@ -9,7 +9,10 @@
 
 use q100::columnar::{Column, MemoryCatalog, Table, Value};
 use q100::core::trace::{RingRecorder, TraceEvent};
-use q100::core::{AggOp, Bandwidth, CmpOp, QueryGraph, SimConfig, Simulator, MEMORY_ENDPOINT};
+use q100::core::{
+    execute_lean, AggOp, Bandwidth, CmpOp, Observe, QueryGraph, SimConfig, SimScratch, Simulator,
+    MEMORY_ENDPOINT,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // pages(page_id, category), views(page_id, latency_ms, country)
@@ -67,7 +70,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _out = b.append_all(&partials);
     let graph: QueryGraph = b.finish()?;
 
-    // Run under generous and starved memory bandwidth.
+    // Run under generous and starved memory bandwidth, executing the
+    // data once and timing it under each configuration.
+    let functional = execute_lean(&graph, &catalog)?;
     for (label, bandwidth) in [
         ("ideal bandwidth", Bandwidth::ideal()),
         (
@@ -82,8 +87,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let config = SimConfig::pareto().with_bandwidth(bandwidth);
         // The trace recorder captures per-link bandwidth peaks as they
         // are set, so the hottest NoC links can be named afterwards.
+        let sim = Simulator::new(&config);
+        let plan = sim.plan(&graph, &functional)?;
         let mut recorder = RingRecorder::new();
-        let outcome = Simulator::new(&config).run_traced(&graph, &catalog, Some(&mut recorder))?;
+        let obs = Observe { sink: Some(&mut recorder), blame: None };
+        let outcome = sim.run_observed(&plan, &functional, &graph, &mut SimScratch::new(), obs)?;
         println!(
             "{label}: {:.3} ms, {:.4} mJ, peak memory read {:.1} GB/s",
             outcome.runtime_ms(),

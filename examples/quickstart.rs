@@ -10,7 +10,10 @@
 
 use q100::columnar::{date_to_days, Column, MemoryCatalog, Table, Value};
 use q100::core::trace::{RingRecorder, TraceEvent};
-use q100::core::{AggOp, CmpOp, QueryGraph, SimConfig, Simulator, TileKind, TileMix};
+use q100::core::{
+    execute_lean, AggOp, CmpOp, Observe, QueryGraph, SimConfig, SimScratch, Simulator, TileKind,
+    TileMix,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small SALES table: season (1..=4), quantity, ship date.
@@ -67,9 +70,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Attach a trace recorder so the timing simulator's structured
     // events (tinst begin/end, per-quantum tile occupancy, memory
     // samples) are captured alongside the aggregate outcome.
+    let config = SimConfig::new(mix);
+    let sim = Simulator::new(&config);
+    let functional = execute_lean(&graph, &catalog)?;
+    let plan = sim.plan(&graph, &functional)?;
     let mut recorder = RingRecorder::new();
-    let outcome =
-        Simulator::new(&SimConfig::new(mix)).run_traced(&graph, &catalog, Some(&mut recorder))?;
+    let obs = Observe { sink: Some(&mut recorder), blame: None };
+    let outcome = sim.run_observed(&plan, &functional, &graph, &mut SimScratch::new(), obs)?;
 
     println!("schedule: {}", outcome.schedule);
     for (i, tinst) in outcome.schedule.tinsts.iter().enumerate() {

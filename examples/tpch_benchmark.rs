@@ -18,7 +18,7 @@
 use std::env;
 
 use q100::core::trace::{RingRecorder, TraceEvent, TraceStream};
-use q100::core::{SimConfig, Simulator};
+use q100::core::{execute_lean, BlameRecorder, Observe, SimConfig, SimScratch, Simulator};
 use q100::dbms::SoftwareCost;
 use q100::tpch::{queries, TpchData};
 
@@ -89,7 +89,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for name in ["q1", "q3", "q5", "q6", "q12", "q14", "q19"] {
         let query = queries::by_name(name).expect("known query");
         let graph = (query.q100)(&db)?;
-        let (outcome, report) = Simulator::new(&pareto).run_attributed(&graph, &db)?;
+        let sim = Simulator::new(&pareto);
+        let functional = execute_lean(&graph, &db)?;
+        let plan = sim.plan(&graph, &functional)?;
+        let mut recorder = BlameRecorder::new();
+        let obs = Observe { sink: None, blame: Some(&mut recorder) };
+        let outcome = sim.run_observed(&plan, &functional, &graph, &mut SimScratch::new(), obs)?;
+        let report = recorder.report(&outcome.timing, &pareto.mix);
         let ledger: f64 = report.cause_totals().iter().sum::<f64>() + report.active_total();
         let causes: Vec<String> = report
             .top_causes()
@@ -118,9 +124,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 fn trace_one_query(db: &TpchData, out: Option<&str>) -> Result<(), Box<dyn std::error::Error>> {
     let query = queries::by_name(TRACED_QUERY).expect("known query");
     let graph = (query.q100)(db)?;
+    let config = SimConfig::pareto();
+    let sim = Simulator::new(&config);
+    let functional = execute_lean(&graph, db)?;
+    let plan = sim.plan(&graph, &functional)?;
     let mut recorder = RingRecorder::new();
-    let outcome =
-        Simulator::new(&SimConfig::pareto()).run_traced(&graph, db, Some(&mut recorder))?;
+    let obs = Observe { sink: Some(&mut recorder), blame: None };
+    let outcome = sim.run_observed(&plan, &functional, &graph, &mut SimScratch::new(), obs)?;
 
     println!(
         "\ntraced {TRACED_QUERY} on Pareto: {} cycles, {} events recorded ({} dropped)",

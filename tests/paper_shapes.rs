@@ -3,7 +3,10 @@
 //! order. Absolute numbers differ (our substrate is a model, not the
 //! authors' testbed); these tests pin the qualitative results.
 
-use q100::core::{power, Bandwidth, DesignBudget, SimConfig};
+use q100::core::trace::RingRecorder;
+use q100::core::{
+    power, Bandwidth, BlameRecorder, DesignBudget, Observe, SimConfig, SimScratch, Simulator,
+};
 use q100::experiments::{comm, dse, sched_study, software_cmp, Workload};
 
 fn workload() -> Workload {
@@ -176,4 +179,36 @@ fn ideal_bandwidth_equals_unconstrained_config() {
         }),
     );
     assert_eq!(a.cycles, b.cycles, "huge caps behave like no caps");
+}
+
+#[test]
+fn every_simulation_entry_agrees_on_pareto() {
+    // The sweep path, a planned run, and a run with a trace sink and a
+    // blame recorder attached all go through one timing kernel: same
+    // cycles, a closing blame ledger, and jump counters that do not
+    // depend on what the scratch simulated before.
+    let w = workload();
+    let config = SimConfig::pareto();
+    let sim = Simulator::new(&config);
+    let counters = |s: &SimScratch| (s.jumps, s.jumped_quanta, s.stepped_quanta);
+    let mut reused = SimScratch::new();
+    for p in &w.queries {
+        let name = p.query.name;
+        let swept = w.simulate(p, &config);
+        let plan = sim.plan(&p.graph, &p.functional).unwrap();
+        let mut fresh = SimScratch::new();
+        let planned = sim.run_planned(&plan, &p.functional, &p.graph, &mut fresh).unwrap();
+        let mut ring = RingRecorder::new();
+        let mut blame = BlameRecorder::new();
+        let obs = Observe { sink: Some(&mut ring), blame: Some(&mut blame) };
+        let observed =
+            sim.run_observed(&plan, &p.functional, &p.graph, &mut SimScratch::new(), obs).unwrap();
+        assert_eq!(swept.cycles, planned.cycles, "{name}: sweep vs planned");
+        assert_eq!(observed.cycles, planned.cycles, "{name}: observers must not perturb timing");
+        assert!(!ring.events().is_empty(), "{name}: the trace sink saw the run");
+        let report = blame.report(&observed.timing, &config.mix);
+        report.check_invariant().unwrap_or_else(|e| panic!("{name}: blame ledger: {e}"));
+        sim.run_planned(&plan, &p.functional, &p.graph, &mut reused).unwrap();
+        assert_eq!(counters(&reused), counters(&fresh), "{name}: reused-scratch jump counters");
+    }
 }
