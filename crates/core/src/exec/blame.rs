@@ -25,13 +25,14 @@
 //!
 //! Like trace sinks, recording is strictly opt-in: every hot-path hook
 //! sits behind an `Option` that costs an untaken branch when disabled.
-//! The quantum-jump fast path stays armed while recording: every hook
-//! also captures the quantum's per-(node, cause) amounts, and when the
-//! event-horizon solver certifies a segment of identical quanta,
-//! [`BlameRecorder::fold_quantum`] replays those amounts once per
-//! skipped quantum — bit-identical to stepping, because each ledger
-//! slot receives at most one addition per quantum and slots accumulate
-//! independently.
+//! The quantum-jump fast path stays armed while recording, and takes
+//! the same decisions as without a recorder: every hook also captures
+//! the quantum's per-(node, cause) amounts, and for each quantum the
+//! event-horizon solver folds, a node it certified constant re-adds
+//! those amounts ([`BlameRecorder::fold_node`]) while a replayed node
+//! reruns the hooks itself — bit-identical to stepping, because each
+//! ledger slot receives at most one addition per quantum and slots
+//! accumulate independently.
 
 use q100_trace::{BlameCause, BlameReport, NodeBlame};
 
@@ -60,8 +61,8 @@ pub struct BlameRecorder {
     /// for trace-sample emission.
     quantum_causes: [f64; BlameCause::COUNT],
     /// Per-(in-stage node, cause) blamed cycles of the current quantum —
-    /// the amounts [`BlameRecorder::fold_quantum`] replays when the
-    /// event-horizon solver skips identical quanta.
+    /// the amounts [`BlameRecorder::fold_node`] re-adds when the
+    /// event-horizon solver folds a constant node.
     quantum_node: Vec<[f64; BlameCause::COUNT]>,
     /// Per-in-stage-node active cycles of the current quantum.
     quantum_active: Vec<f64>,
@@ -134,31 +135,36 @@ impl BlameRecorder {
         }
     }
 
-    /// Replays the current quantum's per-(node, cause) amounts `k` more
-    /// times — the blame half of a quantum jump. Exact because within a
-    /// certified segment every quantum records the same amounts (the
-    /// horizon monitors pin the phase flags, pass causes, and clamp
-    /// values), each hook touches each (node, cause) slot at most once
-    /// per quantum, and slots accumulate independently — so `k` replays
-    /// of the captured addition reproduce `k` stepped quanta
-    /// bit-identically.
+    /// Re-adds in-stage node `idx`'s amounts from the current quantum
+    /// `k` more times — the blame half of folding a constant node.
+    /// Exact because within a certified segment every quantum records
+    /// the same amounts for it (the horizon monitors pin the phase flags,
+    /// pass causes, and clamp values), each hook touches each (node,
+    /// cause) slot at most once per quantum, and slots accumulate
+    /// independently — so `k` re-additions of the captured amount
+    /// reproduce `k` stepped quanta bit-identically.
+    pub(crate) fn fold_node(&mut self, idx: usize, k: u64) {
+        let ledger = &mut self.nodes[self.cur_base + idx];
+        let active = self.quantum_active[idx];
+        if active != 0.0 {
+            for _ in 0..k {
+                ledger.active_cycles += active;
+            }
+        }
+        for (cell, &amt) in ledger.blamed.iter_mut().zip(&self.quantum_node[idx]) {
+            if amt > 0.0 {
+                for _ in 0..k {
+                    *cell += amt;
+                }
+            }
+        }
+    }
+
+    /// [`BlameRecorder::fold_node`] for every node of the stage: the
+    /// blame half of a fold with no replayed node.
     pub(crate) fn fold_quantum(&mut self, k: u64) {
         for idx in 0..self.cur_len {
-            let active = self.quantum_active[idx];
-            if active != 0.0 {
-                let cell = &mut self.nodes[self.cur_base + idx].active_cycles;
-                for _ in 0..k {
-                    *cell += active;
-                }
-            }
-            for (cause, &amt) in self.quantum_node[idx].iter().enumerate() {
-                if amt > 0.0 {
-                    let cell = &mut self.nodes[self.cur_base + idx].blamed[cause];
-                    for _ in 0..k {
-                        *cell += amt;
-                    }
-                }
-            }
+            self.fold_node(idx, k);
         }
     }
 

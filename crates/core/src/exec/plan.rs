@@ -34,9 +34,11 @@ use crate::tiles::TileKind;
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum PlanSource {
     /// Streamed from a producer in the same temporal instruction:
-    /// `src_sid` is the producer port's stream id, `src_kind` the
-    /// producer's tile kind (an endpoint index for NoC/peak lookups).
-    InStage { src_sid: usize, src_kind: usize },
+    /// `src_sid` is the producer port's stream id, `src_idx` the
+    /// producer's index in the stage's node list, `src_kind` its tile
+    /// kind (for NoC/peak lookups). The two narrow fields share one
+    /// word, keeping the plan inputs every cached plan holds small.
+    InStage { src_sid: usize, src_idx: u32, src_kind: TileKind },
     /// Streamed from memory (base table, or an intermediate spilled by
     /// an earlier temporal instruction).
     Memory,
@@ -211,7 +213,8 @@ impl StagePlan {
                                 }
                                 PlanSource::InStage {
                                     src_sid: output_sid(src, p.node, p.port),
-                                    src_kind: graph.node(p.node).op.tile_kind() as usize,
+                                    src_idx: src as u32,
+                                    src_kind: graph.node(p.node).op.tile_kind(),
                                 }
                             } else {
                                 PlanSource::Memory
@@ -303,7 +306,7 @@ impl StagePlan {
                 let dst = node.kind as usize;
                 for input in &node.inputs {
                     let src = match input.source {
-                        PlanSource::InStage { src_kind, .. } => src_kind,
+                        PlanSource::InStage { src_kind, .. } => src_kind as usize,
                         PlanSource::Memory => {
                             fill += input.records * input.width;
                             MEMORY_ENDPOINT
@@ -439,15 +442,10 @@ pub struct SimScratch {
     pub(crate) noc_out: Vec<f64>,
     /// Whether each output stream has a NoC-capped consumer link.
     pub(crate) out_capped: Vec<bool>,
-    /// Per-stream lock kind for the event-horizon fold: `0` unlocked
-    /// (constant-delta), `1` strictly availability-locked (`done ==
-    /// allowed` bitwise, re-verified every replayed quantum), `2`
-    /// availability-tracking (replayed without re-verification —
-    /// certified by clamp-floor clearance instead), `3` owned by a
-    /// replayed node (advance recomputed exactly each quantum).
-    pub(crate) locked: Vec<u8>,
     /// Per-node flag: the fold replays this node's full pass-1 + pass-2
     /// computation each quantum instead of assuming constant deltas.
+    /// The event-horizon solver rewrites every flag of the stage on
+    /// each call.
     pub(crate) replay: Vec<bool>,
     /// Whether the quantum-jump fast path may engage (`true` by
     /// default; clear it to force pure stepping, e.g. for A/B
@@ -472,7 +470,6 @@ impl Default for SimScratch {
             noc_in: Vec::new(),
             noc_out: Vec::new(),
             out_capped: Vec::new(),
-            locked: Vec::new(),
             replay: Vec::new(),
             jump_enabled: true,
             jumped_quanta: 0,
@@ -489,8 +486,7 @@ impl SimScratch {
         Self::default()
     }
 
-    /// Resizes all vectors for `plan`, clears the solver's lock kinds,
-    /// and zeroes the run statistics.
+    /// Resizes all vectors for `plan` and zeroes the run statistics.
     pub(crate) fn begin_run(&mut self, plan: &StagePlan) {
         let s = plan.max_streams;
         if self.done.len() < s {
@@ -500,13 +496,7 @@ impl SimScratch {
             self.noc_in.resize(s, 0.0);
             self.noc_out.resize(s, 0.0);
             self.out_capped.resize(s, false);
-            self.locked.resize(s, 0);
         }
-        // The solver rewrites only some lock kinds per call; one left
-        // over from an earlier plan would change which segments it
-        // certifies — never the cycles, but the jump counters would
-        // then depend on what this scratch ran before.
-        self.locked.fill(0);
         if self.desired.len() < plan.max_nodes {
             self.desired.resize(plan.max_nodes, 0.0);
             self.adv0.resize(plan.max_nodes, 0.0);

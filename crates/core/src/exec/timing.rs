@@ -236,10 +236,10 @@ pub struct Observe<'a> {
     pub sink: Option<&'a mut (dyn TraceSink + 'a)>,
     /// Classifies every node's cycles into the exhaustive
     /// [`BlameCause`] taxonomy (see [`crate::exec::blame`]). The
-    /// quantum-jump fast path stays armed: jumped segments bulk-fold
-    /// their per-quantum blame into the recorder
-    /// (`BlameRecorder::fold_quantum`), so the ledger and the cycle
-    /// counts are bit-identical to pure stepping.
+    /// quantum-jump fast path stays armed and folds exactly the
+    /// segments it folds without a recorder; folded quanta carry their
+    /// blame along, so the ledger and the cycle counts are
+    /// bit-identical to pure stepping.
     pub blame: Option<&'a mut BlameRecorder>,
 }
 
@@ -440,8 +440,8 @@ fn run_stage(
     let streams = topo.streams;
     // The event-horizon solver handles bandwidth caps, derates and
     // blame recorders (their per-quantum effects are constant within a
-    // certified segment); only a trace sink forces pure stepping, since
-    // jumped quanta emit no per-quantum events.
+    // certified segment, or replayed); only a trace sink forces pure
+    // stepping, since jumped quanta emit no per-quantum events.
     let jump_ok = scratch.jump_enabled && jump_enabled() && sink.is_none();
     if let Some(b) = blame.as_deref_mut() {
         b.begin_stage(stage_idx as usize);
@@ -460,7 +460,7 @@ fn run_stage(
                 let mut cap = f64::INFINITY;
                 if let PlanSource::InStage { src_kind, .. } = input.source {
                     if let Some(bpc) = noc_bpc {
-                        if input.width > 0.0 && !p2p[src_kind][dst] {
+                        if input.width > 0.0 && !p2p[src_kind as usize][dst] {
                             cap = bpc * dt / input.width;
                         }
                     }
@@ -500,11 +500,7 @@ fn run_stage(
     const JUMP_BACKOFF_CAP: u64 = 64;
 
     loop {
-        let unfinished = topo.nodes.iter().any(|n| {
-            n.inputs.iter().any(|i| scratch.done[i.sid] < i.records)
-                || n.outputs.iter().any(|o| scratch.done[o.sid] < o.records)
-        });
-        if !unfinished {
+        if !stage_unfinished(topo, &scratch.done) {
             break;
         }
         let busy = if sink.is_some() {
@@ -516,41 +512,21 @@ fn run_stage(
         if let Some(b) = blame.as_deref_mut() {
             b.begin_quantum();
         }
-        let stepped = {
-            let SimScratch {
-                done,
-                desired,
-                allowed,
-                deltas,
-                adv0,
-                noc_in,
-                noc_out,
-                out_capped,
-                ..
-            } = &mut *scratch;
-            for d in deltas[..streams].iter_mut() {
-                *d = 0.0;
-            }
-            step(
-                topo,
-                dt,
-                read_bpc,
-                write_bpc,
-                done,
-                desired,
-                allowed,
-                deltas,
-                adv0,
-                noc_in,
-                noc_out,
-                out_capped,
-                result,
-                read_samples,
-                write_samples,
-                busy,
-                blame.as_deref_mut(),
-            )
-        };
+        for d in scratch.deltas[..streams].iter_mut() {
+            *d = 0.0;
+        }
+        let stepped = step(
+            topo,
+            dt,
+            read_bpc,
+            write_bpc,
+            scratch,
+            result,
+            read_samples,
+            write_samples,
+            busy,
+            blame.as_deref_mut(),
+        );
         scratch.stepped_quanta += 1;
         if let Some(s) = sink.as_deref_mut() {
             let cycle = base_cycle + cycles as u64;
@@ -607,15 +583,7 @@ fn run_stage(
                 if jump_cooldown > 0 {
                     jump_cooldown -= 1;
                 } else {
-                    let k = jump_horizon(
-                        topo,
-                        scratch,
-                        dt,
-                        read_bpc,
-                        write_bpc,
-                        &stepped,
-                        blame.is_some(),
-                    );
+                    let k = jump_horizon(topo, scratch, dt, read_bpc, write_bpc, &stepped);
                     let q = if k >= 1 {
                         fold_jump(
                             topo,
@@ -626,14 +594,12 @@ fn run_stage(
                             result,
                             read_samples,
                             write_samples,
+                            blame.as_deref_mut(),
                         )
                     } else {
                         0
                     };
                     if q >= 1 {
-                        if let Some(b) = blame.as_deref_mut() {
-                            b.fold_quantum(q);
-                        }
                         cycles += q as f64 * dt;
                         jump_backoff = 1;
                     } else {
@@ -672,36 +638,33 @@ fn fold_stream(done: &mut f64, d: f64, k: u64) {
 /// per-stream rates in one fused update, bit-identical to stepping that
 /// many times; returns the number of quanta actually folded.
 ///
-/// Three regimes compose inside a fold, per the horizon's
-/// classification:
+/// Each node folds in the regime [`jump_horizon`] flagged for it:
 ///
-///   * **constant streams** — repeat the stepped quantum's delta
-///     exactly; [`fold_stream`] folds integral counters with one exact
-///     multiply and replays the additions otherwise;
-///   * **locked ports** (strict / tracking, on otherwise-constant
-///     nodes) — the port's advance is the first difference of its
-///     availability; the fold recomputes [`out_available`] and the
-///     apply clamp chain per quantum with the same operations the
-///     stepped quantum would execute. Strict locks re-verify
-///     `done == allowed` after every quantum and stop the fold early
-///     when the equality breaks;
-///   * **replayed nodes** — the fold reruns the node's full pass-1
-///     ([`desired_advance`]) and pass-2 ([`apply_advance`]) computation
-///     each quantum. With both shared memory budget factors pinned at
-///     exactly 1.0 (a certification precondition) the node's step is a
-///     pure function of neighbor stream progress, so the replay *is*
-///     the stepped computation, op for op — including stream
-///     completion, sorter batch boundaries and sequential input-slot
-///     switches, which therefore need no horizon margin on replayed
-///     nodes.
+///   * **constant** nodes repeat the stepped quantum's deltas exactly;
+///     [`fold_stream`] folds integral counters with one exact multiply
+///     and replays the additions otherwise. Their blame is the stepped
+///     quantum's captured per-(node, cause) amounts, re-added once per
+///     folded quantum;
+///   * **replayed** nodes rerun the stepped per-node passes
+///     ([`pass1`], [`pass2`]) each quantum, blame hooks included. With
+///     both shared memory budget factors pinned at exactly 1.0 (a
+///     certification precondition) a node's step is a pure function of
+///     neighbor stream progress, so the replay *is* the stepped
+///     computation, op for op — including stream completion, sorter
+///     batch boundaries and sequential input-slot switches, which
+///     therefore need no horizon margin on replayed nodes.
 ///
-/// Byte accumulators rebuild the stepped summation tree (per-node
-/// subtotals folded in node order — f64 addition is not associative);
-/// busy cycles are accounted per quantum from actual movement;
-/// bandwidth peaks are max-updates (idempotent on repeats, recomputed
-/// on replays). A quantum that moves nothing mutates nothing and ends
-/// the fold uncounted: the stepping loop re-runs it and detects
-/// completion or stall exactly as pure stepping would.
+/// With no replayed node every folded quantum is the stepped one again,
+/// so the fold is a closed-form `k`-fold repeat. Otherwise it runs
+/// quantum by quantum: pass 1 of the replayed nodes against the
+/// pre-advance progress vector, then pass 2 in node order, so the byte
+/// accumulators rebuild the stepped summation tree (per-node subtotals
+/// folded in node order — f64 addition is not associative). Busy cycles
+/// are accounted per quantum from actual movement; bandwidth peaks are
+/// max-updates (idempotent on repeats, recomputed on replays). The fold
+/// never starts a quantum of a finished stage, so it records nothing
+/// stepping would not; a quantum that moves nothing in an unfinished
+/// stage is a deadlock, which stepping runs (and reports) too.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn fold_jump(
@@ -713,15 +676,10 @@ fn fold_jump(
     result: &mut TimingResult,
     read_samples: &mut TraceAccum,
     write_samples: &mut TraceAccum,
+    mut blame: Option<&mut BlameRecorder>,
 ) -> u64 {
     let n = topo.nodes.len();
-    let any_replay = scratch.replay[..n].iter().any(|&r| r);
-    let any_locked = any_replay
-        || topo
-            .nodes
-            .iter()
-            .any(|node| node.outputs.iter().any(|o| scratch.locked[o.sid] != LOCK_NONE));
-    if !any_locked {
+    if !scratch.replay[..n].iter().any(|&r| r) {
         let kf = k as f64;
         for node in &topo.nodes {
             let mut m = 0.0_f64;
@@ -749,156 +707,97 @@ fn fold_jump(
                 write_samples.total_bytes += stepped.write_bytes;
             }
         }
+        if let Some(b) = blame {
+            b.fold_quantum(k);
+        }
         scratch.jumped_quanta += k;
         scratch.jumps += 1;
         return k;
     }
 
-    // Replay mode: per-quantum re-execution for replayed nodes and
-    // locked ports, constant-delta advance for everything else.
     let mut folded = 0_u64;
-    let mut unlocked = false;
-    while folded < k && !unlocked {
-        // Pass 1 for replayed nodes: desired advances against the
-        // pre-advance progress vector, exactly as `step` computes them
-        // (no other node's desired is read, so the constant nodes'
-        // stale entries are harmless).
-        {
-            let SimScratch {
-                done,
-                desired,
-                allowed,
-                adv0,
-                noc_in,
-                noc_out,
-                out_capped,
-                replay,
-                ..
-            } = &mut *scratch;
-            for (idx, node) in topo.nodes.iter().enumerate() {
-                if replay[idx] {
-                    desired[idx] = desired_advance(
-                        node,
-                        adv0[idx],
-                        dt,
-                        done,
-                        allowed,
-                        noc_in,
-                        noc_out,
-                        out_capped,
-                        &mut NoTrack,
-                    );
-                }
+    while folded < k && stage_unfinished(topo, &scratch.done) {
+        // Pass 1 reads only the pre-advance progress vector and no other
+        // node's `desired`, so the constant nodes' stale entries are
+        // harmless.
+        for idx in 0..n {
+            if scratch.replay[idx] {
+                pass1(topo, idx, dt, scratch, blame.as_deref_mut());
             }
         }
-        // Pass 2 in node order (the byte subtotals fold in this order).
         let mut read_bytes = 0.0_f64;
         let mut write_bytes = 0.0_f64;
         let mut quantum_moved = 0.0_f64;
         for (idx, node) in topo.nodes.iter().enumerate() {
-            let mut moved = 0.0_f64;
-            let mut node_read = 0.0_f64;
-            // Matches the stepped summation tree: per-node subtotal
-            // (as `apply_advance` returns), then fold into the quantum
-            // total — f64 addition is not associative.
-            let mut node_write = 0.0_f64;
-            if scratch.replay[idx] {
-                // Budget factors are pinned at exactly 1.0 (certified),
-                // so the pass-2 `adv *= read_factor` scaling is a
-                // bitwise identity and the write factor passes through.
-                let adv = scratch.desired[idx].max(0.0);
-                let SimScratch { done, allowed, deltas, adv0, .. } = &mut *scratch;
-                let (r, w, m, _) = apply_advance(
-                    topo, idx, adv, dt, adv0[idx], 1.0, done, allowed, deltas, result,
-                );
-                node_read = r;
-                node_write = w;
-                moved = m;
+            let (r, w, m) = if scratch.replay[idx] {
+                pass2(topo, idx, dt, 1.0, 1.0, scratch, result, None, blame.as_deref_mut())
             } else {
-                let SimScratch { done, deltas, allowed, adv0, locked, .. } = &mut *scratch;
+                let SimScratch { done, deltas, .. } = &mut *scratch;
+                let (mut r, mut w, mut m) = (0.0_f64, 0.0_f64, 0.0_f64);
                 for input in &node.inputs {
                     let d = deltas[input.sid];
                     if d != 0.0 {
                         done[input.sid] += d;
-                        moved += d;
+                        m += d;
                         if matches!(input.source, PlanSource::Memory) {
-                            node_read += d * input.width;
+                            r += d * input.width;
                         }
                     }
                 }
-                for (port, output) in node.outputs.iter().enumerate() {
-                    let sid = output.sid;
-                    let lk = locked[sid];
-                    if lk != LOCK_NONE {
-                        // The stepped apply path, port-local:
-                        // availability from the just-advanced inputs,
-                        // then the same min/max clamp chain
-                        // `apply_advance` executes.
-                        let avail = out_available(node, port, done);
-                        let stream_cap = if output.to_memory {
-                            adv0[idx] * stepped.write_factor
-                        } else {
-                            adv0[idx]
-                        };
-                        let target = avail.min(done[sid] + stream_cap).min(output.records);
-                        let produced = (target - done[sid]).max(0.0);
-                        if produced > 0.0 {
-                            let bytes = produced * output.width;
-                            let gbps = bytes_per_cycle_to_gbps(bytes / dt);
-                            if output.to_memory {
-                                node_write += bytes;
-                                result.peak_gbps.max_in(node.kind as usize, MEMORY_ENDPOINT, gbps);
-                            }
-                            for &(c, _) in &output.consumers {
-                                let ck = topo.nodes[c].kind as usize;
-                                result.peak_gbps.max_in(node.kind as usize, ck, gbps);
-                            }
-                            done[sid] += produced;
-                            moved += produced;
-                        }
-                        allowed[sid] = avail;
-                        if lk == LOCK_STRICT && done[sid] != avail {
-                            // This quantum was still exact; the next
-                            // one's pass-1 slack would differ from
-                            // zero, so stop after it. (Tracking locks
-                            // are certified by clamp floors, not by
-                            // this equality.)
-                            unlocked = true;
-                        }
-                    } else {
-                        let d = deltas[sid];
-                        if d != 0.0 {
-                            done[sid] += d;
-                            moved += d;
-                            if output.to_memory {
-                                node_write += d * output.width;
-                            }
+                for output in &node.outputs {
+                    let d = deltas[output.sid];
+                    if d != 0.0 {
+                        done[output.sid] += d;
+                        m += d;
+                        if output.to_memory {
+                            w += d * output.width;
                         }
                     }
                 }
-            }
-            read_bytes += node_read;
-            write_bytes += node_write;
-            if moved > 0.0 {
-                result.busy_cycles[node.kind as usize] += dt;
-            }
-            quantum_moved += moved;
-        }
-        if quantum_moved == 0.0 {
-            // Nothing moved, so nothing above mutated any state: hand
-            // the quantum back to the stepping loop, which detects
-            // completion or stall exactly as pure stepping would.
-            break;
+                if m > 0.0 {
+                    result.busy_cycles[node.kind as usize] += dt;
+                }
+                if let Some(b) = blame.as_deref_mut() {
+                    b.fold_node(idx, 1);
+                }
+                (r, w, m)
+            };
+            read_bytes += r;
+            write_bytes += w;
+            quantum_moved += m;
         }
         read_samples.sample(read_bytes, dt);
         write_samples.sample(write_bytes, dt);
         folded += 1;
+        if quantum_moved == 0.0 {
+            break;
+        }
     }
     if folded > 0 {
         scratch.jumped_quanta += folded;
         scratch.jumps += 1;
     }
     folded
+}
+
+/// Upper bound on quanta folded per jump: keeps a single replay loop
+/// (and the unbounded all-replay case) from monopolizing the stepping
+/// loop's bookkeeping; the next stepped quantum simply re-certifies.
+const JUMP_CAP: u64 = 1 << 20;
+
+/// Immutable view of the per-quantum state the horizon monitors read.
+struct HorizonView<'a> {
+    done: &'a [f64],
+    delta: &'a [f64],
+    allowed: &'a [f64],
+    adv0: &'a [f64],
+    noc_out: &'a [f64],
+    out_capped: &'a [bool],
+    desired: &'a [f64],
+    replay: &'a [bool],
+    dt: f64,
+    margin: f64,
+    write_factor: f64,
 }
 
 /// The analytic event-horizon solver: how many further quanta the
@@ -908,32 +807,31 @@ fn fold_jump(
 /// The per-quantum step is piecewise-affine in the progress vector:
 /// every `min`/`max` clamp in [`desired_advance`] / [`apply_advance`] /
 /// [`memory_demand`] is a kink, and between kinks every quantum repeats
-/// the same per-stream additions exactly. The solver classifies each
-/// node into one of two fold regimes and bounds the horizon
-/// accordingly:
+/// the same per-stream additions exactly. The solver flags every node
+/// of the stage with one of two fold regimes (`SimScratch::replay`,
+/// rewritten on every call) and bounds the horizon accordingly:
 ///
 ///   * **constant** — every clamp operand the node recomputes is either
 ///     *exactly constant* (bit-identical recomputation — NoC caps,
 ///     derated tile rates, budget factors over constant demand) or
 ///     *drifts affinely while staying strictly clear of the binding
-///     level* (so the `min` result is unchanged). The monitors below
-///     bound the quanta until an operand could cross, with a safety
-///     margin `M = 2·dt + 2` records so boundary roundoff can never
-///     flip a comparison inside the horizon. Ports whose availability
-///     binds their apply clamp get *strict* or *tracking* locks (see
-///     the classification pass) and are replayed port-locally by
-///     [`fold_jump`].
-///   * **replayed** — any node whose behavior cannot be certified
-///     constant is, when replay is available, re-executed exactly each
-///     folded quantum, making every one of its own events (clamp branch
-///     flips, completion, sorter batches, sequential slot switches)
-///     exact by construction. Replay requires: no blame recorder (a
-///     replayed quantum has no constant attribution for
-///     `fold_quantum` to replicate), and both shared memory budget
-///     factors *pinned* — ceilings over every unfinished
-///     memory-touching stream show demand cannot reach budget, so each
-///     factor recomputes to exactly 1.0 and pass 2 scales by bitwise
-///     identities.
+///     level* (so the `min` result is unchanged), and every moving
+///     output port advances by exact integer arithmetic. The monitors
+///     below bound the quanta until an operand could cross, with a
+///     safety margin `M = 2·dt + 2` records so boundary roundoff can
+///     never flip a comparison inside the horizon.
+///   * **replayed** — every other node: one with a binding output port
+///     that is not exactly synchronous with its availability, one with
+///     a moving port whose progress is non-integral (the stepped apply
+///     computes `produced = fl(fl(done + cap) − done)`, which varies by
+///     ULPs as `done` grows), and one the monitors cannot certify.
+///     [`fold_jump`] re-executes it exactly each folded quantum, making
+///     every one of its own events exact by construction. Replay
+///     requires both shared memory budget factors *pinned* — ceilings
+///     over every unfinished memory-touching stream show demand cannot
+///     reach budget, so each factor recomputes to exactly 1.0 and pass 2
+///     scales by bitwise identities. Without the pin a node that needs
+///     replay refuses the jump.
 ///
 /// The two regimes interact through the promotion fixpoint: a constant
 /// node's clamps that read a replayed neighbor's stream can only be
@@ -960,8 +858,8 @@ fn fold_jump(
 ///    the write-budget factor on memory-bound ports) and the
 ///    demand-side cap (`dt`, [`memory_demand`]'s write estimate).
 ///    Either `allowed` stays ≥ 1 record clear above `done + c`, or it
-///    is binding and drifts at exactly the output's rate, or the port
-///    locks (strict / tracking — see the classification pass);
+///    is binding and drifts at exactly the output's rate (otherwise the
+///    node is replayed);
 /// 5. **desired backpressure** — the `out_cap/ratio` terms (buffer
 ///    slack over the effective streaming base — `min(dt, noc_out)` on
 ///    NoC-capped ports — and consumer queue headroom) must stay
@@ -975,43 +873,10 @@ fn fold_jump(
 /// than what the desired-side clamps compete against, and any drifting
 /// operand must stay above the *final min value* for that min to keep
 /// recomputing to the same result.
-/// Lock kinds for the event-horizon fold (see the classification pass
-/// in [`jump_horizon`]). `LOCK_REPLAY` marks every stream owned by a
-/// replayed node: consumers certify against the `[0, dt]` envelope.
-/// `LOCK_APPLY` marks a non-binding port with non-integral progress:
-/// the stepped apply computes `produced = fl(fl(done + cap) − done)`,
-/// whose value wobbles by ULPs as `done` crosses exponent boundaries,
-/// so the fold recomputes the port's apply chain per quantum instead of
-/// replaying a constant delta (integral ports replay exactly — every
-/// operation is exact integer f64 arithmetic, as in the pre-solver
-/// `rates_stable` guard).
-const LOCK_NONE: u8 = 0;
-const LOCK_STRICT: u8 = 1;
-const LOCK_TRACK: u8 = 2;
-const LOCK_REPLAY: u8 = 3;
-const LOCK_APPLY: u8 = 4;
-
-/// Upper bound on quanta folded per jump: keeps a single replay loop
-/// (and the unbounded all-replay case) from monopolizing the stepping
-/// loop's bookkeeping; the next stepped quantum simply re-certifies.
-const JUMP_CAP: u64 = 1 << 20;
-
-/// Immutable view of the per-quantum state the horizon monitors read.
-struct HorizonView<'a> {
-    done: &'a [f64],
-    delta: &'a [f64],
-    allowed: &'a [f64],
-    adv0: &'a [f64],
-    noc_out: &'a [f64],
-    out_capped: &'a [bool],
-    desired: &'a [f64],
-    locked: &'a [u8],
-    dt: f64,
-    margin: f64,
-    write_factor: f64,
-}
-
-#[allow(clippy::too_many_arguments)]
+///
+/// Nothing here reads the observers: a blame recorder folds along
+/// (constant nodes re-add their captured amounts, replayed nodes
+/// re-record), so attaching one never changes which segments fold.
 #[inline(never)]
 fn jump_horizon(
     topo: &StageTopo,
@@ -1020,21 +885,10 @@ fn jump_horizon(
     read_bpc: Option<f64>,
     write_bpc: Option<f64>,
     stepped: &StepStats,
-    blamed: bool,
 ) -> u64 {
     let n = topo.nodes.len();
-    let SimScratch {
-        done,
-        deltas,
-        allowed,
-        adv0,
-        noc_out,
-        out_capped,
-        desired,
-        locked,
-        replay,
-        ..
-    } = &mut *scratch;
+    let SimScratch { done, deltas, allowed, adv0, noc_out, out_capped, desired, replay, .. } =
+        &mut *scratch;
     let done = &done[..];
     let delta = &deltas[..];
     let allowed = &allowed[..];
@@ -1044,7 +898,7 @@ fn jump_horizon(
     let desired = &desired[..];
     let margin = 2.0 * dt + 2.0;
 
-    // Global preconditions for node replay. The ceilings are
+    // Global precondition for node replay. The ceilings are
     // conservative — every unfinished memory-touching stream moving a
     // full quantum — and monotone decreasing as streams finish, so a
     // pin certified here holds for the whole fold.
@@ -1066,93 +920,33 @@ fn jump_horizon(
         None => true,
         Some(budget) => ceiling + 1.0 <= budget,
     };
-    let demand_pin = pinned(write_bpc, write_ceiling);
-    let replay_ok = !blamed && demand_pin && pinned(read_bpc, read_ceiling);
+    let replay_ok = pinned(write_bpc, write_ceiling) && pinned(read_bpc, read_ceiling);
 
-    // Classification: per output port, decide how the fold must treat
-    // it. A binding port that is not perfectly synchronous can still
-    // fold when the replay recomputes its apply recurrence op-for-op:
-    //
-    //   * *strict* lock — `allowed == done` bitwise, so pass 1's clamp
-    //     operand is exactly `dt + 0` and the memory-demand term
-    //     exactly 0 every quantum; the replay re-verifies the equality
-    //     after each quantum and stops when it breaks;
-    //   * *tracking* lock — `done` chases `allowed` to within f64
-    //     rounding (the `a + (b − a) ≠ b` residue of the apply fold).
-    //     Pass-1 constancy is certified structurally instead: the
-    //     port's buffer-slack clamp keeps a strict floor clearance
-    //     above the node's desired advance, the write-budget factor is
-    //     pinned at 1.0 for any demand the segment can produce, the
-    //     node is streaming (so blame records only pass-1 constants),
-    //     and the port's rate is settled (drift within 1e-6 of the
-    //     availability rate, progress within a record of availability);
-    //   * otherwise the node is *replayed* in full (or, with replay
-    //     unavailable, the jump is refused).
+    // Classification: a node whose unfinished output port binds its
+    // apply or demand cap without advancing exactly in step with its
+    // availability, or moves with non-integral progress, cannot repeat
+    // a constant delta — it is replayed (or the jump refused).
     for (idx, node) in topo.nodes.iter().enumerate() {
-        replay[idx] = false;
-        let a = desired[idx].max(0.0);
-        for (port, output) in node.outputs.iter().enumerate() {
+        replay[idx] = node.outputs.iter().enumerate().any(|(port, output)| {
             let sid = output.sid;
+            if done[sid] >= output.records {
+                return false;
+            }
+            let apply_cap =
+                if output.to_memory { adv0[idx] * stepped.write_factor } else { adv0[idx] };
+            let caps = [Some(apply_cap), output.to_memory.then_some(dt)];
+            let binding =
+                caps.into_iter().flatten().any(|cap| allowed[sid] - done[sid] - cap < 1.0);
             let mut sink_k = f64::INFINITY;
             let (da, exact) = allowed_drift(node, port, done, delta, &mut sink_k);
-            let d = da - delta[sid];
-            let mut lock = LOCK_NONE;
-            if done[sid] < output.records {
-                let apply_cap =
-                    if output.to_memory { adv0[idx] * stepped.write_factor } else { adv0[idx] };
-                let caps = [Some(apply_cap), output.to_memory.then_some(dt)];
-                let binding =
-                    caps.into_iter().flatten().any(|cap| allowed[sid] - done[sid] - cap < 1.0);
-                if binding && !(d == 0.0 && exact) {
-                    if allowed[sid] == done[sid] {
-                        lock = LOCK_STRICT;
-                    } else {
-                        let streaming = node.inputs.iter().any(|i| done[i.sid] < i.records);
-                        let slack_a = allowed[sid] - done[sid];
-                        let floor_clear = output.ratio <= 0.0 || output.records <= 0.0 || {
-                            let eff = if out_capped[sid] { dt.min(noc_out[sid]) } else { dt };
-                            eff / output.ratio > a + 2.0
-                        };
-                        if streaming
-                            && d.abs() <= 1e-6
-                            && slack_a.abs() < 1.0
-                            && floor_clear
-                            && (!output.to_memory || demand_pin)
-                        {
-                            lock = LOCK_TRACK;
-                        } else if replay_ok {
-                            replay[idx] = true;
-                        } else {
-                            return 0;
-                        }
-                    }
-                }
-                if lock == LOCK_NONE
-                    && delta[sid] != 0.0
-                    && !(done[sid].fract() == 0.0 && delta[sid].fract() == 0.0)
-                {
-                    // Moving with non-integral progress: the constant-
-                    // delta replay diverges from apply's rounding
-                    // residue, so recompute the port per quantum.
-                    if blamed && !node.inputs.iter().any(|i| done[i.sid] < i.records) {
-                        // Drain-phase blame records the wobbling
-                        // `produced` itself each quantum; replicating
-                        // the stepped quantum's ledger would diverge.
-                        return 0;
-                    }
-                    lock = LOCK_APPLY;
-                }
-            }
-            locked[sid] = lock;
-        }
-        if replay[idx] {
-            for input in &node.inputs {
-                locked[input.sid] = LOCK_REPLAY;
-            }
-            for output in &node.outputs {
-                locked[output.sid] = LOCK_REPLAY;
-            }
-        }
+            let synchronous = da - delta[sid] == 0.0 && exact;
+            let fractional =
+                delta[sid] != 0.0 && !(done[sid].fract() == 0.0 && delta[sid].fract() == 0.0);
+            (binding && !synchronous) || fractional
+        });
+    }
+    if !replay_ok && replay[..n].iter().any(|&r| r) {
+        return 0;
     }
 
     // Promotion fixpoint: a surviving constant node must certify every
@@ -1160,12 +954,12 @@ fn jump_horizon(
     // streams, whose per-quantum advance is only bounded by the
     // envelope. A node that cannot is promoted to replay itself (or
     // the jump refused when replay is unavailable). Promotion only
-    // adds replayed streams, so the loop converges within `n` rounds;
+    // adds replayed nodes, so the loop converges within `n` rounds;
     // bounds computed in a round with a promotion are discarded.
     loop {
         let mut promoted = false;
         let mut k = f64::INFINITY;
-        for (idx, node) in topo.nodes.iter().enumerate() {
+        for idx in 0..n {
             if replay[idx] {
                 continue;
             }
@@ -1177,25 +971,18 @@ fn jump_horizon(
                 noc_out,
                 out_capped,
                 desired,
-                locked,
+                replay: &replay[..],
                 dt,
                 margin,
                 write_factor: stepped.write_factor,
             };
             let b = node_bound(topo, idx, &view);
             if b < 1.0 {
-                if replay_ok {
-                    replay[idx] = true;
-                    for input in &node.inputs {
-                        locked[input.sid] = LOCK_REPLAY;
-                    }
-                    for output in &node.outputs {
-                        locked[output.sid] = LOCK_REPLAY;
-                    }
-                    promoted = true;
-                } else {
+                if !replay_ok {
                     return 0;
                 }
+                replay[idx] = true;
+                promoted = true;
             } else {
                 k = k.min(b);
             }
@@ -1264,11 +1051,11 @@ fn node_bound(topo: &StageTopo, idx: usize, v: &HorizonView) -> f64 {
     // this quantum (lockstep: all unfinished; sequential: the active
     // slot — (1) keeps it active across the horizon).
     let gap_bound = |input: &PlanInput, k: f64| -> f64 {
-        let PlanSource::InStage { src_sid, .. } = input.source else {
+        let PlanSource::InStage { src_sid, src_idx, .. } = input.source else {
             return k;
         };
         let gap = done[src_sid] - done[input.sid];
-        if v.locked[src_sid] == LOCK_REPLAY {
+        if v.replay[src_idx as usize] {
             // Envelope: the replayed producer advances anywhere in
             // [0, dt] per quantum, so the window shrinks at up to this
             // input's own constant rate.
@@ -1283,12 +1070,7 @@ fn node_bound(topo: &StageTopo, idx: usize, v: &HorizonView) -> f64 {
         }
         let drift = delta[src_sid] - delta[input.sid];
         if drift == 0.0 {
-            // Constant gap: the same clamp value recomputes — but only
-            // if the producer is not replay-wobbling while the gap is
-            // close enough to bind.
-            if v.locked[src_sid] != LOCK_NONE && gap <= margin {
-                return 0.0;
-            }
+            // Constant gap: the same clamp value recomputes.
             return k;
         }
         if gap <= margin {
@@ -1342,34 +1124,28 @@ fn node_bound(topo: &StageTopo, idx: usize, v: &HorizonView) -> f64 {
                     k = k.min(((slack_b - 1.0) / -d).floor());
                 }
                 // Binding caps were resolved by the classification
-                // pass (synchronous, locked, or the node replayed).
+                // pass (synchronous, or the node replayed).
             }
         }
 
         if output.records <= 0.0 || output.ratio <= 0.0 {
             continue;
         }
-        let lk = v.locked[sid];
-        if lk == LOCK_NONE || lk == LOCK_APPLY {
-            // An apply-locked port's own slack wobbles by ULPs each
-            // quantum, so its clearance needs one extra record and the
-            // exactly-synchronous escape is unavailable.
-            let eff = if v.out_capped[sid] { dt.min(v.noc_out[sid]) } else { dt };
-            let slack_a = allowed[sid] - done[sid];
-            let t_a = (eff + slack_a.max(0.0)) / output.ratio;
-            let clear = if lk == LOCK_APPLY { a + 2.0 } else { a + 1.0 };
-            if t_a <= clear {
-                if !(d == 0.0 && exact && lk == LOCK_NONE) {
-                    return 0.0;
-                }
-            } else if slack_a > 0.0 && d < -1e-9 {
-                k = k.min(((t_a - clear) / (-d / output.ratio)).floor());
+        let eff = if v.out_capped[sid] { dt.min(v.noc_out[sid]) } else { dt };
+        let slack_a = allowed[sid] - done[sid];
+        let t_a = (eff + slack_a.max(0.0)) / output.ratio;
+        let clear = a + 1.0;
+        if t_a <= clear {
+            if !(d == 0.0 && exact) {
+                return 0.0;
             }
+        } else if slack_a > 0.0 && d < -1e-9 {
+            k = k.min(((t_a - clear) / (-d / output.ratio)).floor());
         }
 
-        for &(_, cons_sid) in &output.consumers {
+        for &(c, cons_sid) in &output.consumers {
             let h = done[cons_sid] + QUEUE_RECORDS - done[sid];
-            if v.locked[cons_sid] == LOCK_REPLAY {
+            if v.replay[c] {
                 // Envelope: the replayed consumer's progress moves the
                 // headroom anywhere in [−d_out, dt − d_out] per
                 // quantum.
@@ -1394,7 +1170,7 @@ fn node_bound(topo: &StageTopo, idx: usize, v: &HorizonView) -> f64 {
                 continue;
             }
             let dh = delta[cons_sid] - d_out;
-            if dh == 0.0 && v.locked[sid] == LOCK_NONE {
+            if dh == 0.0 {
                 // Constant headroom recomputes identically.
                 continue;
             }
@@ -1407,22 +1183,10 @@ fn node_bound(topo: &StageTopo, idx: usize, v: &HorizonView) -> f64 {
                     k = k.min(((t_h - a - 1.0) / (-dh / output.ratio)).floor());
                     // Also stay on this side of the max(0) kink.
                     k = k.min(((h - 1.0) / -dh).floor());
-                } else if v.locked[sid] != LOCK_NONE {
-                    // Wobbling producer: keep a record of clearance
-                    // above the binding level and the kink.
-                    if t_h <= a + 2.0 || h <= 1.0 {
-                        return 0.0;
-                    }
                 }
             } else if dh > 0.0 {
-                // Saturated queue (cap = dt): keep it saturated — with
-                // a record of slack when the producer wobbles.
-                let clear = if v.locked[sid] != LOCK_NONE { -h - 1.0 } else { -h };
-                k = k.min((clear / dh).floor());
-            } else if v.locked[sid] != LOCK_NONE {
-                // Saturated on a wobbling producer: the max(0) kink
-                // could flip either way.
-                return 0.0;
+                // Saturated queue (cap = dt): keep it saturated.
+                k = k.min((-h / dh).floor());
             }
         }
         if k < 1.0 {
@@ -1485,8 +1249,8 @@ fn allowed_drift(
                 // every operand is an integer (f64 adds of integers
                 // below 2^53 are exact); fractional progress makes the
                 // sum's first differences wobble at ulp scale, which
-                // the locked-port replay absorbs but a constant fold
-                // must not claim.
+                // node replay absorbs but a constant fold must not
+                // claim.
                 let exact = drift == 0.0
                     || node
                         .inputs
@@ -1566,14 +1330,7 @@ fn step(
     dt: f64,
     read_bpc: Option<f64>,
     write_bpc: Option<f64>,
-    done: &mut [f64],
-    desired: &mut [f64],
-    allowed: &mut [f64],
-    deltas: &mut [f64],
-    adv0: &[f64],
-    noc_in: &[f64],
-    noc_out: &[f64],
-    out_capped: &[bool],
+    scratch: &mut SimScratch,
     result: &mut TimingResult,
     read_samples: &mut TraceAccum,
     write_samples: &mut TraceAccum,
@@ -1587,29 +1344,8 @@ fn step(
     let mut read_demand = 0.0_f64;
     let mut write_demand = 0.0_f64;
     for idx in 0..n {
-        let node = &topo.nodes[idx];
-        let d = if let Some(b) = blame.as_deref_mut() {
-            let mut track = Tracked { cause: BlameCause::InputStarvation };
-            let d = desired_advance(
-                node, adv0[idx], dt, done, allowed, noc_in, noc_out, out_capped, &mut track,
-            );
-            b.set_pass_cause(idx, track.cause);
-            d
-        } else {
-            desired_advance(
-                node,
-                adv0[idx],
-                dt,
-                done,
-                allowed,
-                noc_in,
-                noc_out,
-                out_capped,
-                &mut NoTrack,
-            )
-        };
-        desired[idx] = d;
-        let (r, w) = memory_demand(node, d, dt, done, allowed);
+        let d = pass1(topo, idx, dt, scratch, blame.as_deref_mut());
+        let (r, w) = memory_demand(&topo.nodes[idx], d, dt, &scratch.done, &scratch.allowed);
         read_demand += r;
         write_demand += w;
     }
@@ -1623,61 +1359,130 @@ fn step(
     let mut read_bytes = 0.0_f64;
     let mut write_bytes = 0.0_f64;
     for idx in 0..n {
-        let node = &topo.nodes[idx];
-        let mut adv = desired[idx].max(0.0);
-        let reads_memory = node
-            .inputs
-            .iter()
-            .any(|i| matches!(i.source, PlanSource::Memory) && done[i.sid] < i.records);
-        if reads_memory {
-            adv *= read_factor;
-        }
-        // Pre-advance state the blame classifier needs (consuming vs
-        // draining vs finished), captured only when recording.
-        let pre_state = blame.is_some().then(|| {
-            (
-                node.inputs.iter().any(|i| done[i.sid] < i.records),
-                node.outputs.iter().all(|o| done[o.sid] >= o.records),
-            )
-        });
-        let (r, w, m, produced_max) = apply_advance(
+        let (r, w, m) = pass2(
             topo,
             idx,
-            adv,
             dt,
-            adv0[idx],
+            read_factor,
             write_factor,
-            done,
-            allowed,
-            deltas,
+            scratch,
             result,
+            busy.as_deref_mut(),
+            blame.as_deref_mut(),
         );
         read_bytes += r;
         write_bytes += w;
         moved += m;
-        if m > 0.0 {
-            result.busy_cycles[node.kind as usize] += dt;
-            if let Some(b) = busy.as_deref_mut() {
-                b[node.kind as usize] += 1;
-            }
-        }
-        if let Some(b) = blame.as_deref_mut() {
-            let (inputs_unfinished, outputs_done_pre) = pre_state.unwrap_or((false, true));
-            if inputs_unfinished {
-                b.quantum_streaming(idx, dt, adv0[idx], desired[idx].max(0.0), adv);
-            } else if outputs_done_pre {
-                b.quantum_idle(idx, dt);
-            } else {
-                let finishing = node.outputs.iter().all(|o| done[o.sid] >= o.records);
-                let write_capped = write_factor < 1.0 && node.outputs.iter().any(|o| o.to_memory);
-                let throttle = write_capped.then_some(write_factor);
-                b.quantum_drain(idx, dt, adv0[idx], produced_max, throttle, finishing);
-            }
-        }
     }
     read_samples.sample(read_bytes, dt);
     write_samples.sample(write_bytes, dt);
     StepStats { moved, read_bytes, write_bytes, write_factor }
+}
+
+/// Pass 1 of one quantum for node `idx`: its [`desired_advance`]
+/// against the pre-advance progress vector, stored in `desired`, with
+/// the binding clamp handed to the blame recorder. [`step`] and the
+/// replayed nodes of [`fold_jump`] share it.
+fn pass1(
+    topo: &StageTopo,
+    idx: usize,
+    dt: f64,
+    scratch: &mut SimScratch,
+    blame: Option<&mut BlameRecorder>,
+) -> f64 {
+    let node = &topo.nodes[idx];
+    let SimScratch { done, desired, allowed, adv0, noc_in, noc_out, out_capped, .. } = scratch;
+    let d = if let Some(b) = blame {
+        let mut track = Tracked { cause: BlameCause::InputStarvation };
+        let d = desired_advance(
+            node, adv0[idx], dt, done, allowed, noc_in, noc_out, out_capped, &mut track,
+        );
+        b.set_pass_cause(idx, track.cause);
+        d
+    } else {
+        desired_advance(
+            node,
+            adv0[idx],
+            dt,
+            done,
+            allowed,
+            noc_in,
+            noc_out,
+            out_capped,
+            &mut NoTrack,
+        )
+    };
+    desired[idx] = d;
+    d
+}
+
+/// Pass 2 of one quantum for node `idx`: scales its desired advance by
+/// the shared read-budget factor when it reads memory, applies it
+/// ([`apply_advance`]), and books busy cycles and blame. [`step`] and
+/// the replayed nodes of [`fold_jump`] share it; the fold passes both
+/// factors as exactly 1.0, where every scaling is a bitwise identity.
+/// Returns `(read_bytes, write_bytes, records_moved)`.
+#[allow(clippy::too_many_arguments)]
+fn pass2(
+    topo: &StageTopo,
+    idx: usize,
+    dt: f64,
+    read_factor: f64,
+    write_factor: f64,
+    scratch: &mut SimScratch,
+    result: &mut TimingResult,
+    busy: Option<&mut [u16; TileKind::COUNT]>,
+    blame: Option<&mut BlameRecorder>,
+) -> (f64, f64, f64) {
+    let node = &topo.nodes[idx];
+    let SimScratch { done, desired, allowed, deltas, adv0, .. } = scratch;
+    let desired = desired[idx].max(0.0);
+    let mut adv = desired;
+    let reads_memory = node
+        .inputs
+        .iter()
+        .any(|i| matches!(i.source, PlanSource::Memory) && done[i.sid] < i.records);
+    if reads_memory {
+        adv *= read_factor;
+    }
+    // Pre-advance state the blame classifier needs (consuming vs
+    // draining vs finished), captured only when recording.
+    let pre_state = blame.is_some().then(|| {
+        (
+            node.inputs.iter().any(|i| done[i.sid] < i.records),
+            node.outputs.iter().all(|o| done[o.sid] >= o.records),
+        )
+    });
+    let (r, w, m, produced_max) =
+        apply_advance(topo, idx, adv, dt, adv0[idx], write_factor, done, allowed, deltas, result);
+    if m > 0.0 {
+        result.busy_cycles[node.kind as usize] += dt;
+        if let Some(b) = busy {
+            b[node.kind as usize] += 1;
+        }
+    }
+    if let Some(b) = blame {
+        let (inputs_unfinished, outputs_done_pre) = pre_state.unwrap_or((false, true));
+        if inputs_unfinished {
+            b.quantum_streaming(idx, dt, adv0[idx], desired, adv);
+        } else if outputs_done_pre {
+            b.quantum_idle(idx, dt);
+        } else {
+            let finishing = node.outputs.iter().all(|o| done[o.sid] >= o.records);
+            let write_capped = write_factor < 1.0 && node.outputs.iter().any(|o| o.to_memory);
+            let throttle = write_capped.then_some(write_factor);
+            b.quantum_drain(idx, dt, adv0[idx], produced_max, throttle, finishing);
+        }
+    }
+    (r, w, m)
+}
+
+/// Whether any stream of the stage still has records to move.
+fn stage_unfinished(topo: &StageTopo, done: &[f64]) -> bool {
+    topo.nodes.iter().any(|n| {
+        n.inputs.iter().any(|i| done[i.sid] < i.records)
+            || n.outputs.iter().any(|o| done[o.sid] < o.records)
+    })
 }
 
 fn factor(demand: f64, budget: Option<f64>) -> f64 {
@@ -1902,7 +1707,7 @@ fn advance_input(
             *read_bytes += bytes;
             MEMORY_ENDPOINT
         }
-        PlanSource::InStage { src_kind, .. } => src_kind,
+        PlanSource::InStage { src_kind, .. } => src_kind as usize,
     };
     result.peak_gbps.max_in(src, dst_kind, bytes_per_cycle_to_gbps(bytes / dt));
     done[input.sid] += step_records;

@@ -22,6 +22,8 @@
 //! every node, `active_cycles + Σ blamed == total query cycles`. Every
 //! cycle of the run is attributed, for every node, exactly once.
 
+use std::collections::HashMap;
+
 use crate::metrics::Histogram;
 
 /// Why a node failed to make ideal progress during some cycles.
@@ -233,14 +235,20 @@ pub fn critical_path(report: &BlameReport) -> CriticalPath {
     if n == 0 {
         return CriticalPath { nodes: Vec::new(), cycles: 0.0, fraction: 0.0 };
     }
-    // Dense index over the (sparse) graph node ids present in the plan.
-    let index_of = |id: u32| report.nodes.iter().position(|nb| nb.node == id);
+    // Dense index over the (sparse) graph node ids present in the plan,
+    // built once; should an id repeat, its first ledger wins.
+    let mut dense: HashMap<u32, usize> = HashMap::with_capacity(n);
+    for (i, nb) in report.nodes.iter().enumerate() {
+        dense.entry(nb.node).or_insert(i);
+    }
+    let index_of = |id: u32| dense.get(&id).copied();
     let mut dist = vec![0.0_f64; n];
     let mut pred: Vec<Option<usize>> = vec![None; n];
     let mut order: Vec<usize> = Vec::with_capacity(n);
     let mut placed = vec![false; n];
     // Kahn-style topological order, lowest node id first among the
-    // ready set (O(n^2) — plans are tens of nodes).
+    // ready set: each of the n placements rescans every node's
+    // dependencies, O(n·(n + deps)).
     while order.len() < n {
         let mut next: Option<usize> = None;
         for (i, nb) in report.nodes.iter().enumerate() {

@@ -185,8 +185,9 @@ fn ideal_bandwidth_equals_unconstrained_config() {
 fn every_simulation_entry_agrees_on_pareto() {
     // The sweep path, a planned run, and a run with a trace sink and a
     // blame recorder attached all go through one timing kernel: same
-    // cycles, a closing blame ledger, and jump counters that do not
-    // depend on what the scratch simulated before.
+    // cycles, a closing blame ledger, and jump counters that depend
+    // neither on what the scratch simulated before nor on an attached
+    // blame recorder.
     let w = workload();
     let config = SimConfig::pareto();
     let sim = Simulator::new(&config);
@@ -210,5 +211,16 @@ fn every_simulation_entry_agrees_on_pareto() {
         report.check_invariant().unwrap_or_else(|e| panic!("{name}: blame ledger: {e}"));
         sim.run_planned(&plan, &p.functional, &p.graph, &mut reused).unwrap();
         assert_eq!(counters(&reused), counters(&fresh), "{name}: reused-scratch jump counters");
+        let mut blamed_scratch = SimScratch::new();
+        let mut blame_only = BlameRecorder::new();
+        let obs = Observe { sink: None, blame: Some(&mut blame_only) };
+        let blamed =
+            sim.run_observed(&plan, &p.functional, &p.graph, &mut blamed_scratch, obs).unwrap();
+        assert_eq!(blamed.cycles, planned.cycles, "{name}: blamed vs planned");
+        assert_eq!(
+            counters(&blamed_scratch),
+            counters(&fresh),
+            "{name}: a blame recorder must not change the solver's decisions"
+        );
     }
 }
