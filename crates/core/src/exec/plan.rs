@@ -429,7 +429,10 @@ pub struct SimScratch {
     pub(crate) done: Vec<f64>,
     /// Pass-1 desired advance per node.
     pub(crate) desired: Vec<f64>,
-    /// `out_available` per output stream id, shared within a pass.
+    /// `out_available` per output stream id. It reads only the node's
+    /// own inputs, so the value cached after the node's last advance
+    /// (seeded at stage start, refreshed after folds) is current when
+    /// its next pass 1 reads it.
     pub(crate) allowed: Vec<f64>,
     /// Per-stream advance of the current quantum (the certified segment
     /// rates the event-horizon solver folds).
@@ -447,6 +450,19 @@ pub struct SimScratch {
     /// The event-horizon solver rewrites every flag of the stage on
     /// each call.
     pub(crate) replay: Vec<bool>,
+    /// Per-node count of its streams (inputs and output ports) still
+    /// short of their record totals in the current stage.
+    pub(crate) node_open: Vec<u32>,
+    /// Per-node flag: every stream of the node is done and pass 1 has
+    /// run once in that state, so both passes are no-ops for the rest
+    /// of the stage. Reset per stage.
+    pub(crate) retired: Vec<bool>,
+    /// Unfinished streams of the current stage (the sum of
+    /// `node_open`); the stage ends when it reaches zero.
+    pub(crate) open_streams: usize,
+    /// Per-stream largest single-quantum advance in the current stage,
+    /// converted into `peak_gbps` once when the stage ends.
+    pub(crate) peak_adv: Vec<f64>,
     /// Whether the quantum-jump fast path may engage (`true` by
     /// default; clear it to force pure stepping, e.g. for A/B
     /// validation of the fused update).
@@ -457,6 +473,12 @@ pub struct SimScratch {
     pub stepped_quanta: u64,
     /// Number of fused jumps taken in the last run.
     pub jumps: u64,
+    /// Node-quanta the replay fold ran for nodes flagged replayed
+    /// (retired ones included) in the last run.
+    pub replayed_node_quanta: u64,
+    /// Node-quanta of retired nodes whose passes `step` and the replay
+    /// fold skipped in the last run.
+    pub retired_node_quanta: u64,
 }
 
 impl Default for SimScratch {
@@ -471,10 +493,16 @@ impl Default for SimScratch {
             noc_out: Vec::new(),
             out_capped: Vec::new(),
             replay: Vec::new(),
+            node_open: Vec::new(),
+            retired: Vec::new(),
+            open_streams: 0,
+            peak_adv: Vec::new(),
             jump_enabled: true,
             jumped_quanta: 0,
             stepped_quanta: 0,
             jumps: 0,
+            replayed_node_quanta: 0,
+            retired_node_quanta: 0,
         }
     }
 }
@@ -496,15 +524,20 @@ impl SimScratch {
             self.noc_in.resize(s, 0.0);
             self.noc_out.resize(s, 0.0);
             self.out_capped.resize(s, false);
+            self.peak_adv.resize(s, 0.0);
         }
         if self.desired.len() < plan.max_nodes {
             self.desired.resize(plan.max_nodes, 0.0);
             self.adv0.resize(plan.max_nodes, 0.0);
             self.replay.resize(plan.max_nodes, false);
+            self.node_open.resize(plan.max_nodes, 0);
+            self.retired.resize(plan.max_nodes, false);
         }
         self.jumped_quanta = 0;
         self.stepped_quanta = 0;
         self.jumps = 0;
+        self.replayed_node_quanta = 0;
+        self.retired_node_quanta = 0;
     }
 }
 

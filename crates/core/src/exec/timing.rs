@@ -448,14 +448,36 @@ fn run_stage(
     }
 
     {
-        // Per-(stage, run) reset and hoisted per-node/per-stream rates.
-        let SimScratch { done, adv0, noc_in, noc_out, out_capped, .. } = &mut *scratch;
-        for d in done[..streams].iter_mut() {
-            *d = 0.0;
-        }
+        // Per-(stage, run) reset, hoisted per-node/per-stream rates, the
+        // unfinished-stream counts, and the availability cache seeded
+        // from the empty progress vector.
+        let SimScratch {
+            done,
+            allowed,
+            adv0,
+            noc_in,
+            noc_out,
+            out_capped,
+            node_open,
+            retired,
+            open_streams,
+            peak_adv,
+            ..
+        } = &mut *scratch;
+        done[..streams].fill(0.0);
+        peak_adv[..streams].fill(0.0);
+        *open_streams = 0;
         for (idx, node) in topo.nodes.iter().enumerate() {
             let dst = node.kind as usize;
             adv0[idx] = dt * derate.map_or(1.0, |d| d.tile_factor[dst]);
+            let open = node.inputs.iter().filter(|i| i.records > 0.0).count()
+                + node.outputs.iter().filter(|o| o.records > 0.0).count();
+            node_open[idx] = open as u32;
+            *open_streams += open;
+            retired[idx] = false;
+            for (port, output) in node.outputs.iter().enumerate() {
+                allowed[output.sid] = out_available(node, port, done);
+            }
             for input in &node.inputs {
                 let mut cap = f64::INFINITY;
                 if let PlanSource::InStage { src_kind, .. } = input.source {
@@ -500,7 +522,9 @@ fn run_stage(
     const JUMP_BACKOFF_CAP: u64 = 64;
 
     loop {
-        if !stage_unfinished(topo, &scratch.done) {
+        let unfinished = scratch.open_streams > 0;
+        debug_assert_eq!(unfinished, stage_unfinished(topo, &scratch.done));
+        if !unfinished {
             break;
         }
         let busy = if sink.is_some() {
@@ -610,7 +634,43 @@ fn run_stage(
             }
         }
     }
+    convert_link_peaks(topo, dt, &scratch.peak_adv, &mut result.peak_gbps);
     Ok(cycles.round() as u64)
+}
+
+/// Folds the stage's per-stream largest single-quantum advances into
+/// the peak link bandwidth cells, once per stage. Exact: `fl(r·w)`,
+/// `/dt` and the GB/s conversion are monotone in `r`, so converting the
+/// largest advance gives the largest of the per-quantum conversions.
+fn convert_link_peaks(topo: &StageTopo, dt: f64, peak_adv: &[f64], peak_gbps: &mut ConnMatrix) {
+    let gbps = |records: f64, width: f64| bytes_per_cycle_to_gbps(records * width / dt);
+    for node in &topo.nodes {
+        let dst = node.kind as usize;
+        for input in &node.inputs {
+            let peak = peak_adv[input.sid];
+            if peak > 0.0 {
+                let src = match input.source {
+                    PlanSource::Memory => MEMORY_ENDPOINT,
+                    PlanSource::InStage { src_kind, .. } => src_kind as usize,
+                };
+                peak_gbps.max_in(src, dst, gbps(peak, input.width));
+            }
+        }
+        for output in &node.outputs {
+            let peak = peak_adv[output.sid];
+            if peak <= 0.0 {
+                continue;
+            }
+            let v = gbps(peak, output.width);
+            if output.to_memory {
+                peak_gbps.max_in(dst, MEMORY_ENDPOINT, v);
+            }
+            // One link per consumer; each sees the full stream.
+            for &(c, _) in &output.consumers {
+                peak_gbps.max_in(dst, topo.nodes[c].kind as usize, v);
+            }
+        }
+    }
 }
 
 /// Advances one stream's progress counter by `k` quanta of `d` records,
@@ -659,12 +719,14 @@ fn fold_stream(done: &mut f64, d: f64, k: u64) {
 /// quantum by quantum: pass 1 of the replayed nodes against the
 /// pre-advance progress vector, then pass 2 in node order, so the byte
 /// accumulators rebuild the stepped summation tree (per-node subtotals
-/// folded in node order — f64 addition is not associative). Busy cycles
-/// are accounted per quantum from actual movement; bandwidth peaks are
-/// max-updates (idempotent on repeats, recomputed on replays). The fold
-/// never starts a quantum of a finished stage, so it records nothing
-/// stepping would not; a quantum that moves nothing in an unfinished
-/// stage is a deadlock, which stepping runs (and reports) too.
+/// folded in node order — f64 addition is not associative). Retired
+/// nodes are skipped whatever their regime. Busy cycles are accounted
+/// per quantum from actual movement; per-stream peak advances are
+/// maxima (unchanged by repeats, updated on replays). Afterwards the
+/// constant nodes' cached availability is refreshed. The fold never
+/// starts a quantum of a finished stage, so it records nothing stepping
+/// would not; a quantum that moves nothing in an unfinished stage is a
+/// deadlock, which stepping runs (and reports) too.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn fold_jump(
@@ -686,17 +748,20 @@ fn fold_jump(
             for input in &node.inputs {
                 let d = scratch.deltas[input.sid];
                 fold_stream(&mut scratch.done[input.sid], d, k);
+                debug_assert!(d == 0.0 || scratch.done[input.sid] < input.records);
                 m += d;
             }
             for output in &node.outputs {
                 let d = scratch.deltas[output.sid];
                 fold_stream(&mut scratch.done[output.sid], d, k);
+                debug_assert!(d == 0.0 || scratch.done[output.sid] < output.records);
                 m += d;
             }
             if m > 0.0 {
                 result.busy_cycles[node.kind as usize] += kf * dt;
             }
         }
+        refresh_constant_allowed(topo, scratch);
         if stepped.read_bytes > 0.0 {
             for _ in 0..k {
                 read_samples.total_bytes += stepped.read_bytes;
@@ -716,12 +781,18 @@ fn fold_jump(
     }
 
     let mut folded = 0_u64;
-    while folded < k && stage_unfinished(topo, &scratch.done) {
+    let (mut replayed, mut retired) = (0_u64, 0_u64);
+    loop {
+        let unfinished = scratch.open_streams > 0;
+        debug_assert_eq!(unfinished, stage_unfinished(topo, &scratch.done));
+        if folded >= k || !unfinished {
+            break;
+        }
         // Pass 1 reads only the pre-advance progress vector and no other
         // node's `desired`, so the constant nodes' stale entries are
         // harmless.
         for idx in 0..n {
-            if scratch.replay[idx] {
+            if scratch.replay[idx] && !scratch.retired[idx] {
                 pass1(topo, idx, dt, scratch, blame.as_deref_mut());
             }
         }
@@ -729,7 +800,14 @@ fn fold_jump(
         let mut write_bytes = 0.0_f64;
         let mut quantum_moved = 0.0_f64;
         for (idx, node) in topo.nodes.iter().enumerate() {
-            let (r, w, m) = if scratch.replay[idx] {
+            replayed += u64::from(scratch.replay[idx]);
+            let (r, w, m) = if scratch.retired[idx] {
+                retired += 1;
+                if let Some(b) = blame.as_deref_mut() {
+                    b.quantum_idle(idx, dt);
+                }
+                (0.0, 0.0, 0.0)
+            } else if scratch.replay[idx] {
                 pass2(topo, idx, dt, 1.0, 1.0, scratch, result, None, blame.as_deref_mut())
             } else {
                 let SimScratch { done, deltas, .. } = &mut *scratch;
@@ -738,6 +816,7 @@ fn fold_jump(
                     let d = deltas[input.sid];
                     if d != 0.0 {
                         done[input.sid] += d;
+                        debug_assert!(done[input.sid] < input.records);
                         m += d;
                         if matches!(input.source, PlanSource::Memory) {
                             r += d * input.width;
@@ -748,6 +827,7 @@ fn fold_jump(
                     let d = deltas[output.sid];
                     if d != 0.0 {
                         done[output.sid] += d;
+                        debug_assert!(done[output.sid] < output.records);
                         m += d;
                         if output.to_memory {
                             w += d * output.width;
@@ -773,11 +853,29 @@ fn fold_jump(
             break;
         }
     }
+    refresh_constant_allowed(topo, scratch);
+    scratch.replayed_node_quanta += replayed;
+    scratch.retired_node_quanta += retired;
     if folded > 0 {
         scratch.jumped_quanta += folded;
         scratch.jumps += 1;
     }
     folded
+}
+
+/// Re-caches the availability of every node the fold advanced as
+/// constant: their inputs moved without a pass 2 to refresh `allowed`,
+/// which the next pass 1 reads. Replayed nodes refreshed it themselves;
+/// retired nodes' availability cannot change.
+fn refresh_constant_allowed(topo: &StageTopo, scratch: &mut SimScratch) {
+    let SimScratch { done, allowed, replay, retired, .. } = scratch;
+    for (idx, node) in topo.nodes.iter().enumerate() {
+        if !replay[idx] && !retired[idx] {
+            for (port, output) in node.outputs.iter().enumerate() {
+                allowed[output.sid] = out_available(node, port, done);
+            }
+        }
+    }
 }
 
 /// Upper bound on quanta folded per jump: keeps a single replay loop
@@ -1340,10 +1438,14 @@ fn step(
     let n = topo.nodes.len();
     // Pass 1: per-node desired input advance (records over this quantum)
     // ignoring the shared memory budget, plus the memory demand it
-    // implies. `allowed` caches each port's availability for the pass.
+    // implies. Retired nodes want nothing and demand nothing.
     let mut read_demand = 0.0_f64;
     let mut write_demand = 0.0_f64;
     for idx in 0..n {
+        if scratch.retired[idx] {
+            scratch.retired_node_quanta += 1;
+            continue;
+        }
         let d = pass1(topo, idx, dt, scratch, blame.as_deref_mut());
         let (r, w) = memory_demand(&topo.nodes[idx], d, dt, &scratch.done, &scratch.allowed);
         read_demand += r;
@@ -1354,11 +1456,18 @@ fn step(
 
     // Pass 2: apply, scaling nodes that touch memory by the shared
     // budget factors. Nodes with zero input advance still run so that
-    // outputs can drain (e.g. a sorter emitting a completed batch).
+    // outputs can drain (e.g. a sorter emitting a completed batch); a
+    // retired node's pass 2 is exactly an idle quantum.
     let mut moved = 0.0_f64;
     let mut read_bytes = 0.0_f64;
     let mut write_bytes = 0.0_f64;
     for idx in 0..n {
+        if scratch.retired[idx] {
+            if let Some(b) = blame.as_deref_mut() {
+                b.quantum_idle(idx, dt);
+            }
+            continue;
+        }
         let (r, w, m) = pass2(
             topo,
             idx,
@@ -1383,6 +1492,10 @@ fn step(
 /// against the pre-advance progress vector, stored in `desired`, with
 /// the binding clamp handed to the blame recorder. [`step`] and the
 /// replayed nodes of [`fold_jump`] share it.
+///
+/// A node whose streams are all done retires here: with its inputs
+/// frozen its `desired` and `allowed` are now constant, so both passes
+/// are skipped for the rest of the stage.
 fn pass1(
     topo: &StageTopo,
     idx: usize,
@@ -1391,7 +1504,18 @@ fn pass1(
     blame: Option<&mut BlameRecorder>,
 ) -> f64 {
     let node = &topo.nodes[idx];
-    let SimScratch { done, desired, allowed, adv0, noc_in, noc_out, out_capped, .. } = scratch;
+    let SimScratch {
+        done,
+        desired,
+        allowed,
+        adv0,
+        noc_in,
+        noc_out,
+        out_capped,
+        node_open,
+        retired,
+        ..
+    } = scratch;
     let d = if let Some(b) = blame {
         let mut track = Tracked { cause: BlameCause::InputStarvation };
         let d = desired_advance(
@@ -1413,6 +1537,7 @@ fn pass1(
         )
     };
     desired[idx] = d;
+    retired[idx] = node_open[idx] == 0;
     d
 }
 
@@ -1435,14 +1560,18 @@ fn pass2(
     blame: Option<&mut BlameRecorder>,
 ) -> (f64, f64, f64) {
     let node = &topo.nodes[idx];
-    let SimScratch { done, desired, allowed, deltas, adv0, .. } = scratch;
+    let SimScratch {
+        done, desired, allowed, deltas, adv0, peak_adv, node_open, open_streams, ..
+    } = scratch;
     let desired = desired[idx].max(0.0);
     let mut adv = desired;
-    let reads_memory = node
-        .inputs
-        .iter()
-        .any(|i| matches!(i.source, PlanSource::Memory) && done[i.sid] < i.records);
-    if reads_memory {
+    // Scaling by exactly 1.0 is a bitwise identity: skip the scan.
+    if read_factor != 1.0
+        && node
+            .inputs
+            .iter()
+            .any(|i| matches!(i.source, PlanSource::Memory) && done[i.sid] < i.records)
+    {
         adv *= read_factor;
     }
     // Pre-advance state the blame classifier needs (consuming vs
@@ -1453,8 +1582,20 @@ fn pass2(
             node.outputs.iter().all(|o| done[o.sid] >= o.records),
         )
     });
-    let (r, w, m, produced_max) =
-        apply_advance(topo, idx, adv, dt, adv0[idx], write_factor, done, allowed, deltas, result);
+    let mut closed = 0_u32;
+    let (r, w, m, produced_max) = apply_advance(
+        node,
+        adv,
+        adv0[idx],
+        write_factor,
+        done,
+        allowed,
+        deltas,
+        peak_adv,
+        &mut closed,
+    );
+    node_open[idx] -= closed;
+    *open_streams -= closed as usize;
     if m > 0.0 {
         result.busy_cycles[node.kind as usize] += dt;
         if let Some(b) = busy {
@@ -1549,7 +1690,10 @@ impl CauseTrack for Tracked {
 /// How many input records a node wants to (and may) consume this
 /// quantum, considering tile throughput, upstream availability, NoC
 /// caps, and downstream backpressure — everything except the shared
-/// memory budget. Caches each output port's availability in `allowed`.
+/// memory budget. Reads each output port's availability from
+/// `allowed`, which [`apply_advance`] cached after the node's own last
+/// input advance: [`out_available`] reads only the node's own inputs,
+/// and nothing else moves them.
 ///
 /// `track` attributes the binding clamp (blame accounting); pass
 /// [`NoTrack`] for the plain computation. Every clamp below is a `min`
@@ -1561,7 +1705,7 @@ fn desired_advance<T: CauseTrack>(
     adv0: f64,
     dt: f64,
     done: &[f64],
-    allowed: &mut [f64],
+    allowed: &[f64],
     noc_in: &[f64],
     noc_out: &[f64],
     out_capped: &[bool],
@@ -1619,8 +1763,8 @@ fn desired_advance<T: CauseTrack>(
     // Backpressure and NoC caps on outputs: translate output limits back
     // into input records via the port's output/input ratio.
     for (port, output) in node.outputs.iter().enumerate() {
-        let avail = out_available(node, port, done);
-        allowed[output.sid] = avail;
+        let avail = allowed[output.sid];
+        debug_assert_eq!(avail.to_bits(), out_available(node, port, done).to_bits());
         if output.records <= 0.0 {
             continue;
         }
@@ -1689,57 +1833,52 @@ fn memory_demand(node: &PlanNode, adv: f64, dt: f64, done: &[f64], allowed: &[f6
 fn advance_input(
     input: &PlanInput,
     adv: f64,
-    dt: f64,
-    dst_kind: usize,
     done: &mut [f64],
     deltas: &mut [f64],
-    result: &mut TimingResult,
+    peak_adv: &mut [f64],
     read_bytes: &mut f64,
     moved: &mut f64,
+    closed: &mut u32,
 ) {
-    let step_records = adv.min(input.records - done[input.sid]);
+    let sid = input.sid;
+    let step_records = adv.min(input.records - done[sid]);
     if step_records <= 0.0 {
         return;
     }
-    let bytes = step_records * input.width;
-    let src = match input.source {
-        PlanSource::Memory => {
-            *read_bytes += bytes;
-            MEMORY_ENDPOINT
-        }
-        PlanSource::InStage { src_kind, .. } => src_kind as usize,
-    };
-    result.peak_gbps.max_in(src, dst_kind, bytes_per_cycle_to_gbps(bytes / dt));
-    done[input.sid] += step_records;
-    deltas[input.sid] += step_records;
+    if matches!(input.source, PlanSource::Memory) {
+        *read_bytes += step_records * input.width;
+    }
+    if step_records > peak_adv[sid] {
+        peak_adv[sid] = step_records;
+    }
+    done[sid] += step_records;
+    deltas[sid] += step_records;
     *moved += step_records;
+    *closed += u32::from(done[sid] >= input.records);
 }
 
-/// Applies an input advance of `adv` records to node `idx`, updating
-/// progress, per-stream deltas, bandwidth samples and peak-link
-/// statistics. Returns
+/// Applies an input advance of `adv` records to `node`, updating
+/// progress, per-stream deltas and per-stream peak advances, and
+/// counting the streams that reach their totals in `closed`. Returns
 /// `(read_bytes, write_bytes, records_moved, produced_max)` — the last
 /// being the largest per-port output advance this quantum, which blame
 /// accounting reads as the node's drain-phase activity.
 #[allow(clippy::too_many_arguments)]
 fn apply_advance(
-    topo: &StageTopo,
-    idx: usize,
+    node: &PlanNode,
     adv: f64,
-    dt: f64,
     out_dt: f64,
     write_factor: f64,
     done: &mut [f64],
     allowed: &mut [f64],
     deltas: &mut [f64],
-    result: &mut TimingResult,
+    peak_adv: &mut [f64],
+    closed: &mut u32,
 ) -> (f64, f64, f64, f64) {
-    let node = &topo.nodes[idx];
     let mut read_bytes = 0.0;
     let mut write_bytes = 0.0;
     let mut moved = 0.0;
     let mut produced_max = 0.0_f64;
-    let dst_kind = node.kind as usize;
 
     // Advance inputs.
     match node.mode {
@@ -1751,13 +1890,12 @@ fn apply_advance(
                 advance_input(
                     input,
                     adv,
-                    dt,
-                    dst_kind,
                     done,
                     deltas,
-                    result,
+                    peak_adv,
                     &mut read_bytes,
                     &mut moved,
+                    closed,
                 );
             }
         }
@@ -1767,13 +1905,12 @@ fn apply_advance(
                     advance_input(
                         input,
                         adv,
-                        dt,
-                        dst_kind,
                         done,
                         deltas,
-                        result,
+                        peak_adv,
                         &mut read_bytes,
                         &mut moved,
+                        closed,
                     );
                 }
             }
@@ -1784,30 +1921,29 @@ fn apply_advance(
     // record per cycle of streaming — `out_dt`, pre-scaled for
     // frequency-derated tiles — and by the shared write budget for
     // memory-bound ports). Availability is recomputed after this node's
-    // own input advance and re-cached for the jump monitors.
+    // own input advance and re-cached for the jump monitors and the
+    // node's next pass 1.
     for (port, output) in node.outputs.iter().enumerate() {
+        let sid = output.sid;
         let avail = out_available(node, port, done);
-        allowed[output.sid] = avail;
+        allowed[sid] = avail;
         let stream_cap = if output.to_memory { out_dt * write_factor } else { out_dt };
-        let target = avail.min(done[output.sid] + stream_cap).min(output.records);
-        let produced = (target - done[output.sid]).max(0.0);
+        let target = avail.min(done[sid] + stream_cap).min(output.records);
+        let produced = (target - done[sid]).max(0.0);
         produced_max = produced_max.max(produced);
         if produced <= 0.0 {
             continue;
         }
-        let bytes = produced * output.width;
         if output.to_memory {
-            write_bytes += bytes;
-            result.peak_gbps.max_in(dst_kind, MEMORY_ENDPOINT, bytes_per_cycle_to_gbps(bytes / dt));
+            write_bytes += produced * output.width;
         }
-        // One link per consumer; each sees the full stream.
-        for &(c, _) in &output.consumers {
-            let ck = topo.nodes[c].kind as usize;
-            result.peak_gbps.max_in(dst_kind, ck, bytes_per_cycle_to_gbps(bytes / dt));
+        if produced > peak_adv[sid] {
+            peak_adv[sid] = produced;
         }
-        done[output.sid] += produced;
-        deltas[output.sid] += produced;
+        done[sid] += produced;
+        deltas[sid] += produced;
         moved += produced;
+        *closed += u32::from(done[sid] >= output.records);
     }
     (read_bytes, write_bytes, moved, produced_max)
 }

@@ -405,7 +405,8 @@ pub struct ResilientOutcome {
 /// [`TraceEvent::Reschedule`] when kills changed the mix into `sink`,
 /// and bumps `resilience.faults.injected` / `resilience.reschedules` /
 /// `resilience.runs.degraded` counters on `registry`, plus the
-/// `sim.jumps` / `sim.jumped_quanta` / `sim.stepped_quanta` counters
+/// `sim.jumps` / `sim.jumped_quanta` / `sim.stepped_quanta` /
+/// `sim.replayed_node_quanta` / `sim.retired_node_quanta` counters
 /// reporting how much of the derated run the event-horizon solver
 /// skipped.
 ///
@@ -474,6 +475,8 @@ pub fn run_resilient(
         r.inc("sim.jumps", scratch.jumps);
         r.inc("sim.jumped_quanta", scratch.jumped_quanta);
         r.inc("sim.stepped_quanta", scratch.stepped_quanta);
+        r.inc("sim.replayed_node_quanta", scratch.replayed_node_quanta);
+        r.inc("sim.retired_node_quanta", scratch.retired_node_quanta);
     }
     Ok(ResilientOutcome {
         outcome,

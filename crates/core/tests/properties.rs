@@ -432,7 +432,9 @@ fn derated_case(rng: &mut Rng) -> Option<(StagePlan, SimConfig)> {
 /// whether or not a recorder is attached.
 #[test]
 fn quantum_jump_matches_pure_stepping_with_derates_and_blame() {
-    let counters = |s: &SimScratch| (s.jumps, s.jumped_quanta, s.stepped_quanta);
+    let counters = |s: &SimScratch| {
+        (s.jumps, s.jumped_quanta, s.stepped_quanta, s.replayed_node_quanta, s.retired_node_quanta)
+    };
     let mut compared = 0u64;
     let mut jumped_quanta = 0u64;
     // A sweep worker's scratch runs plan after plan: this one runs every

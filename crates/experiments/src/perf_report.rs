@@ -81,7 +81,8 @@ pub struct PerfReport {
     /// compiled plans existed, so the JSON schema is unchanged).
     pub cache: q100_core::CacheStats,
     /// Event-horizon solver counters over the whole report: fused jumps
-    /// taken, quanta they skipped, and quanta stepped one by one. The
+    /// taken, quanta they skipped, quanta stepped one by one, and the
+    /// node-quanta the replay fold ran and retirement skipped. The
     /// simulations are deterministic, so these are byte-identical at
     /// any `--jobs` setting.
     pub jump: crate::runner::JumpStats,
@@ -137,11 +138,13 @@ impl PerfReport {
         );
         let _ = writeln!(
             out,
-            "  \"jump\": {{\"jumps\": {}, \"jumped_quanta\": {}, \"stepped_quanta\": {},              \"coverage\": {:.4}}}",
+            "  \"jump\": {{\"jumps\": {}, \"jumped_quanta\": {}, \"stepped_quanta\": {},              \"coverage\": {:.4}, \"replayed_node_quanta\": {}, \"retired_node_quanta\": {}}}",
             self.jump.jumps,
             self.jump.jumped_quanta,
             self.jump.stepped_quanta,
-            self.jump.coverage()
+            self.jump.coverage(),
+            self.jump.replayed_node_quanta,
+            self.jump.retired_node_quanta
         );
         out.push_str("}\n");
         out

@@ -54,6 +54,11 @@ pub struct JumpStats {
     pub jumped_quanta: u64,
     /// Quanta executed step-by-step.
     pub stepped_quanta: u64,
+    /// Node-quanta the replay fold ran for replayed nodes.
+    pub replayed_node_quanta: u64,
+    /// Node-quanta of retired (finished) nodes whose passes were
+    /// skipped.
+    pub retired_node_quanta: u64,
 }
 
 impl JumpStats {
@@ -77,6 +82,8 @@ impl JumpStats {
             jumps: self.jumps - earlier.jumps,
             jumped_quanta: self.jumped_quanta - earlier.jumped_quanta,
             stepped_quanta: self.stepped_quanta - earlier.stepped_quanta,
+            replayed_node_quanta: self.replayed_node_quanta - earlier.replayed_node_quanta,
+            retired_node_quanta: self.retired_node_quanta - earlier.retired_node_quanta,
         }
     }
 }
@@ -363,6 +370,8 @@ impl Workload {
         self.metrics.inc("sim.jumps", s.jumps);
         self.metrics.inc("sim.jumped_quanta", s.jumped_quanta);
         self.metrics.inc("sim.stepped_quanta", s.stepped_quanta);
+        self.metrics.inc("sim.replayed_node_quanta", s.replayed_node_quanta);
+        self.metrics.inc("sim.retired_node_quanta", s.retired_node_quanta);
     }
 
     /// Quantum-jump totals accumulated by every simulation this
@@ -374,6 +383,8 @@ impl Workload {
             jumps: self.metrics.counter("sim.jumps"),
             jumped_quanta: self.metrics.counter("sim.jumped_quanta"),
             stepped_quanta: self.metrics.counter("sim.stepped_quanta"),
+            replayed_node_quanta: self.metrics.counter("sim.replayed_node_quanta"),
+            retired_node_quanta: self.metrics.counter("sim.retired_node_quanta"),
         }
     }
 

@@ -6,8 +6,8 @@
 
 use std::sync::Arc;
 
-use q100_core::exec::{simulate_plan, Observe};
-use q100_core::{schedule, SimScratch, StagePlan};
+use q100_core::exec::{simulate_plan, Observe, TimingResult, ENDPOINTS};
+use q100_core::{schedule, Bandwidth, SimConfig, SimScratch, StagePlan, TileMix};
 use q100_experiments::{paper_designs, Workload};
 
 /// The pinned scale factor (matches `perf_report::PINNED_SCALE`).
@@ -99,6 +99,107 @@ fn derated_pareto_cycles_are_pinned() {
     );
     let jump = w.jump_stats();
     assert!(jump.jumped_quanta > 0, "no derated run engaged the quantum-jump fast path");
+}
+
+/// FNV-1a over the bit patterns of everything a [`TimingResult`]
+/// reports beyond the cycle count: per-tinst cycles, busy cycles per
+/// tile kind, every peak link bandwidth cell and both memory bandwidth
+/// statistics. One changed ULP anywhere changes the digest.
+fn timing_digest(t: &TimingResult) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    let mut mix = |word: u64| {
+        for byte in word.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    mix(t.cycles);
+    mix(t.per_tinst_cycles.len() as u64);
+    t.per_tinst_cycles.iter().for_each(|&c| mix(c));
+    t.busy_cycles.iter().for_each(|b| mix(b.to_bits()));
+    for src in 0..ENDPOINTS {
+        for dst in 0..ENDPOINTS {
+            mix(t.peak_gbps.get(src, dst).to_bits());
+        }
+    }
+    for bw in [t.mem_read, t.mem_write] {
+        mix(bw.hi_gbps.to_bits());
+        mix(bw.lo_gbps.to_bits());
+        mix(bw.avg_gbps.to_bits());
+    }
+    h
+}
+
+/// Whole-result pins: [`timing_digest`] per pinned query under
+/// (LowPower, Pareto, HighPerf, Pareto mix with 2 GB/s NoC links and
+/// ideal memory, Pareto derated by the `GOLDEN_DERATED` fault
+/// scenario). Jump-vs-step properties compare two runs of the same
+/// kernel, so they cannot see a kernel change that moves peaks, busy
+/// cycles or bandwidth statistics on both sides at once; these pins
+/// can. Regenerate like `GOLDEN`.
+const GOLDEN_TIMING: [(&str, [u64; 5]); 3] = [
+    (
+        "q1",
+        [
+            0x5ca4_9ce0_16c1_e56c,
+            0xa127_d126_851a_fc3f,
+            0x9368_f850_e97a_e1d6,
+            0x5dac_4c9b_43bc_2f76,
+            0xbf42_0bf0_c3a5_601b,
+        ],
+    ),
+    (
+        "q6",
+        [
+            0x0e39_6a9c_5695_1947,
+            0xbd9f_3ec3_d23e_f528,
+            0xea7b_4e9c_2002_86f6,
+            0xcb5e_30f8_5aff_f86c,
+            0xbd9f_3ec3_d23e_f528,
+        ],
+    ),
+    (
+        "q14",
+        [
+            0x4be4_51cc_20a3_fcb3,
+            0x6739_75ed_2fe8_ff3c,
+            0xb3da_85d4_7118_c6b1,
+            0x6e34_e2b7_bbd7_8258,
+            0x009a_da36_3201_9f26,
+        ],
+    ),
+];
+
+#[test]
+fn whole_timing_results_are_pinned() {
+    let names: Vec<&str> = GOLDEN_TIMING.iter().map(|(q, _)| *q).collect();
+    let w = Workload::prepare_subset(SCALE, &names);
+    let designs = paper_designs();
+    let pareto = &designs[1].1;
+    let noc_capped = SimConfig::new(TileMix::pareto()).with_bandwidth(Bandwidth {
+        noc_gbps: Some(2.0),
+        mem_read_gbps: None,
+        mem_write_gbps: None,
+    });
+    let mut actual = Vec::new();
+    for (qi, (prepared, (name, _))) in w.queries.iter().zip(&GOLDEN_TIMING).enumerate() {
+        let mut digests = [0u64; 5];
+        for (i, (_, config)) in designs.iter().enumerate() {
+            digests[i] = timing_digest(&w.simulate(prepared, config).timing);
+        }
+        digests[3] = timing_digest(&w.simulate(prepared, &noc_capped).timing);
+        let scenario = q100_core::FaultScenario::generate(0x9E37 + qi as u64, 0.10, &pareto.mix);
+        let derated = w
+            .simulate_resilient(prepared, pareto, &scenario)
+            .unwrap_or_else(|e| panic!("{name}: derated run unschedulable: {e}"));
+        digests[4] = timing_digest(&derated.outcome.timing);
+        actual.push((*name, digests));
+    }
+    assert_eq!(
+        actual,
+        GOLDEN_TIMING.to_vec(),
+        "whole-result timing digests diverged; actuals: {actual:x?}"
+    );
 }
 
 /// On the real TPC-H workload, a jumped simulation must be

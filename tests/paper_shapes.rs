@@ -184,14 +184,18 @@ fn ideal_bandwidth_equals_unconstrained_config() {
 #[test]
 fn every_simulation_entry_agrees_on_pareto() {
     // The sweep path, a planned run, and a run with a trace sink and a
-    // blame recorder attached all go through one timing kernel: same
-    // cycles, a closing blame ledger, and jump counters that depend
-    // neither on what the scratch simulated before nor on an attached
-    // blame recorder.
+    // blame recorder attached all go through one timing kernel: the
+    // same whole timing result (cycles, peaks, bandwidth statistics,
+    // busy cycles), a closing blame ledger, and jump counters that
+    // depend neither on what the scratch simulated before nor on an
+    // attached blame recorder. The sink forces pure stepping, so the
+    // jumped runs are checked against it.
     let w = workload();
     let config = SimConfig::pareto();
     let sim = Simulator::new(&config);
-    let counters = |s: &SimScratch| (s.jumps, s.jumped_quanta, s.stepped_quanta);
+    let counters = |s: &SimScratch| {
+        (s.jumps, s.jumped_quanta, s.stepped_quanta, s.replayed_node_quanta, s.retired_node_quanta)
+    };
     let mut reused = SimScratch::new();
     for p in &w.queries {
         let name = p.query.name;
@@ -204,8 +208,8 @@ fn every_simulation_entry_agrees_on_pareto() {
         let obs = Observe { sink: Some(&mut ring), blame: Some(&mut blame) };
         let observed =
             sim.run_observed(&plan, &p.functional, &p.graph, &mut SimScratch::new(), obs).unwrap();
-        assert_eq!(swept.cycles, planned.cycles, "{name}: sweep vs planned");
-        assert_eq!(observed.cycles, planned.cycles, "{name}: observers must not perturb timing");
+        assert_eq!(swept.timing, planned.timing, "{name}: sweep vs planned");
+        assert_eq!(observed.timing, planned.timing, "{name}: stepped vs jumped timing result");
         assert!(!ring.events().is_empty(), "{name}: the trace sink saw the run");
         let report = blame.report(&observed.timing, &config.mix);
         report.check_invariant().unwrap_or_else(|e| panic!("{name}: blame ledger: {e}"));
@@ -216,7 +220,7 @@ fn every_simulation_entry_agrees_on_pareto() {
         let obs = Observe { sink: None, blame: Some(&mut blame_only) };
         let blamed =
             sim.run_observed(&plan, &p.functional, &p.graph, &mut blamed_scratch, obs).unwrap();
-        assert_eq!(blamed.cycles, planned.cycles, "{name}: blamed vs planned");
+        assert_eq!(blamed.timing, planned.timing, "{name}: blamed vs planned");
         assert_eq!(
             counters(&blamed_scratch),
             counters(&fresh),
