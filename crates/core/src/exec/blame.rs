@@ -27,12 +27,12 @@
 //! sits behind an `Option` that costs an untaken branch when disabled.
 //! The quantum-jump fast path stays armed while recording, and takes
 //! the same decisions as without a recorder: every hook also captures
-//! the quantum's per-(node, cause) amounts, and for each quantum the
-//! event-horizon solver folds, a node it certified constant re-adds
-//! those amounts ([`BlameRecorder::fold_node`]) while a replayed node
-//! reruns the hooks itself — bit-identical to stepping, because each
-//! ledger slot receives at most one addition per quantum and slots
-//! accumulate independently.
+//! the quantum's per-(node, cause) amounts, and a closed-form fold of
+//! `k` quanta re-adds those amounts `k` times
+//! ([`BlameRecorder::fold_quantum`]) while a replay fold reruns the
+//! hooks through the stepping kernel — bit-identical to stepping,
+//! because each ledger slot receives at most one addition per quantum
+//! and slots accumulate independently.
 
 use q100_trace::{BlameCause, BlameReport, NodeBlame};
 
@@ -61,8 +61,8 @@ pub struct BlameRecorder {
     /// for trace-sample emission.
     quantum_causes: [f64; BlameCause::COUNT],
     /// Per-(in-stage node, cause) blamed cycles of the current quantum —
-    /// the amounts [`BlameRecorder::fold_node`] re-adds when the
-    /// event-horizon solver folds a constant node.
+    /// the amounts [`BlameRecorder::fold_quantum`] re-adds when the
+    /// event-horizon solver folds a closed-form segment.
     quantum_node: Vec<[f64; BlameCause::COUNT]>,
     /// Per-in-stage-node active cycles of the current quantum.
     quantum_active: Vec<f64>,
@@ -135,36 +135,30 @@ impl BlameRecorder {
         }
     }
 
-    /// Re-adds in-stage node `idx`'s amounts from the current quantum
-    /// `k` more times — the blame half of folding a constant node.
-    /// Exact because within a certified segment every quantum records
-    /// the same amounts for it (the horizon monitors pin the phase flags,
-    /// pass causes, and clamp values), each hook touches each (node,
-    /// cause) slot at most once per quantum, and slots accumulate
+    /// Re-adds every in-stage node's amounts from the current quantum
+    /// `k` more times — the blame half of a closed-form fold. Exact
+    /// because within a certified segment every quantum records the
+    /// same amounts for a node (the horizon monitors pin the phase
+    /// flags, pass causes, and clamp values), each hook touches each
+    /// (node, cause) slot at most once per quantum, and slots accumulate
     /// independently — so `k` re-additions of the captured amount
     /// reproduce `k` stepped quanta bit-identically.
-    pub(crate) fn fold_node(&mut self, idx: usize, k: u64) {
-        let ledger = &mut self.nodes[self.cur_base + idx];
-        let active = self.quantum_active[idx];
-        if active != 0.0 {
-            for _ in 0..k {
-                ledger.active_cycles += active;
-            }
-        }
-        for (cell, &amt) in ledger.blamed.iter_mut().zip(&self.quantum_node[idx]) {
-            if amt > 0.0 {
-                for _ in 0..k {
-                    *cell += amt;
-                }
-            }
-        }
-    }
-
-    /// [`BlameRecorder::fold_node`] for every node of the stage: the
-    /// blame half of a fold with no replayed node.
     pub(crate) fn fold_quantum(&mut self, k: u64) {
         for idx in 0..self.cur_len {
-            self.fold_node(idx, k);
+            let ledger = &mut self.nodes[self.cur_base + idx];
+            let active = self.quantum_active[idx];
+            if active != 0.0 {
+                for _ in 0..k {
+                    ledger.active_cycles += active;
+                }
+            }
+            for (cell, &amt) in ledger.blamed.iter_mut().zip(&self.quantum_node[idx]) {
+                if amt > 0.0 {
+                    for _ in 0..k {
+                        *cell += amt;
+                    }
+                }
+            }
         }
     }
 

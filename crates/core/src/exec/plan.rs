@@ -34,11 +34,9 @@ use crate::tiles::TileKind;
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum PlanSource {
     /// Streamed from a producer in the same temporal instruction:
-    /// `src_sid` is the producer port's stream id, `src_idx` the
-    /// producer's index in the stage's node list, `src_kind` its tile
-    /// kind (for NoC/peak lookups). The two narrow fields share one
-    /// word, keeping the plan inputs every cached plan holds small.
-    InStage { src_sid: usize, src_idx: u32, src_kind: TileKind },
+    /// `src_sid` is the producer port's stream id, `src_kind` its tile
+    /// kind (for NoC/peak lookups).
+    InStage { src_sid: usize, src_kind: TileKind },
     /// Streamed from memory (base table, or an intermediate spilled by
     /// an earlier temporal instruction).
     Memory,
@@ -213,7 +211,6 @@ impl StagePlan {
                                 }
                                 PlanSource::InStage {
                                     src_sid: output_sid(src, p.node, p.port),
-                                    src_idx: src as u32,
                                     src_kind: graph.node(p.node).op.tile_kind(),
                                 }
                             } else {
@@ -423,7 +420,7 @@ impl StagePlan {
 /// simulations, so the hot path never allocates. One scratch serves any
 /// number of sequential runs over any plans (it regrows to the largest
 /// seen); sweeps keep one per worker.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SimScratch {
     /// Progress (records done) per stream id.
     pub(crate) done: Vec<f64>,
@@ -431,7 +428,7 @@ pub struct SimScratch {
     pub(crate) desired: Vec<f64>,
     /// `out_available` per output stream id. It reads only the node's
     /// own inputs, so the value cached after the node's last advance
-    /// (seeded at stage start, refreshed after folds) is current when
+    /// (seeded at stage start, refreshed after closed-form folds) is current when
     /// its next pass 1 reads it.
     pub(crate) allowed: Vec<f64>,
     /// Per-stream advance of the current quantum (the certified segment
@@ -445,11 +442,6 @@ pub struct SimScratch {
     pub(crate) noc_out: Vec<f64>,
     /// Whether each output stream has a NoC-capped consumer link.
     pub(crate) out_capped: Vec<bool>,
-    /// Per-node flag: the fold replays this node's full pass-1 + pass-2
-    /// computation each quantum instead of assuming constant deltas.
-    /// The event-horizon solver rewrites every flag of the stage on
-    /// each call.
-    pub(crate) replay: Vec<bool>,
     /// Per-node count of its streams (inputs and output ports) still
     /// short of their record totals in the current stage.
     pub(crate) node_open: Vec<u32>,
@@ -463,48 +455,17 @@ pub struct SimScratch {
     /// Per-stream largest single-quantum advance in the current stage,
     /// converted into `peak_gbps` once when the stage ends.
     pub(crate) peak_adv: Vec<f64>,
-    /// Whether the quantum-jump fast path may engage (`true` by
-    /// default; clear it to force pure stepping, e.g. for A/B
-    /// validation of the fused update).
-    pub jump_enabled: bool,
     /// Quanta skipped by the quantum-jump fast path in the last run.
     pub jumped_quanta: u64,
     /// Quanta executed step-by-step in the last run.
     pub stepped_quanta: u64,
     /// Number of fused jumps taken in the last run.
     pub jumps: u64,
-    /// Node-quanta the replay fold ran for nodes flagged replayed
-    /// (retired ones included) in the last run.
+    /// Unretired node-quanta run inside replay folds in the last run.
     pub replayed_node_quanta: u64,
-    /// Node-quanta of retired nodes whose passes `step` and the replay
-    /// fold skipped in the last run.
+    /// Node-quanta of retired nodes whose passes `step` skipped in the
+    /// last run (inside replay folds too).
     pub retired_node_quanta: u64,
-}
-
-impl Default for SimScratch {
-    fn default() -> Self {
-        Self {
-            done: Vec::new(),
-            desired: Vec::new(),
-            allowed: Vec::new(),
-            deltas: Vec::new(),
-            adv0: Vec::new(),
-            noc_in: Vec::new(),
-            noc_out: Vec::new(),
-            out_capped: Vec::new(),
-            replay: Vec::new(),
-            node_open: Vec::new(),
-            retired: Vec::new(),
-            open_streams: 0,
-            peak_adv: Vec::new(),
-            jump_enabled: true,
-            jumped_quanta: 0,
-            stepped_quanta: 0,
-            jumps: 0,
-            replayed_node_quanta: 0,
-            retired_node_quanta: 0,
-        }
-    }
 }
 
 impl SimScratch {
@@ -529,7 +490,6 @@ impl SimScratch {
         if self.desired.len() < plan.max_nodes {
             self.desired.resize(plan.max_nodes, 0.0);
             self.adv0.resize(plan.max_nodes, 0.0);
-            self.replay.resize(plan.max_nodes, false);
             self.node_open.resize(plan.max_nodes, 0);
             self.retired.resize(plan.max_nodes, false);
         }

@@ -33,10 +33,13 @@
 //! until a stream drains, a stage finishes filling or spilling, a queue
 //! saturates, a memory budget phase shifts, or any clamp rebinds — and
 //! advances that many quanta in one fused update that is bit-identical
-//! to stepping (see [`jump_horizon`] for the segment math). The solver
-//! handles bandwidth caps, fault derating, and attached blame
-//! recorders; only a trace sink forces pure stepping (jumped quanta
-//! emit no per-quantum events).
+//! to stepping (see [`jump_horizon`] for the segment math). A segment it
+//! cannot certify still skips the solver's per-quantum work when both
+//! memory budgets are pinned: the rest of the stage replays through the
+//! stepping kernel with the budgets dropped. The solver handles
+//! bandwidth caps, fault derating, and attached blame recorders; only a
+//! trace sink forces pure stepping (jumped quanta emit no per-quantum
+//! events).
 
 use q100_trace::{BlameCause, TraceEvent, TraceSink};
 
@@ -181,12 +184,13 @@ pub fn gbps_to_bytes_per_cycle(gbps: f64) -> f64 {
     gbps * 1e9 / (FREQUENCY_MHZ * 1e6)
 }
 
-/// Process-wide kill switch for the quantum-jump fast path. Defaults
-/// to enabled; `--no-jump` (or tests) flip it to force pure stepping on
-/// every simulation path — including the internally-scratched derated
-/// runs (`run_resilient`) that callers cannot reach through a
-/// [`SimScratch`]. The jump is bit-identical by construction, so this
-/// only trades wall-clock time; CI byte-compares both settings.
+/// The kill switch for the quantum-jump fast path, process-wide.
+/// Defaults to enabled; `--no-jump` flips it to force pure stepping on
+/// every simulation path — including the derated runs `run_resilient`
+/// simulates in a scratch of its own. A single run is forced to step
+/// by attaching a trace sink ([`Observe::sink`]). The jump is
+/// bit-identical by construction, so this only trades wall-clock time;
+/// CI byte-compares both settings.
 static JUMP_ENABLED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
 
 /// Enables or disables the quantum-jump fast path process-wide.
@@ -440,9 +444,9 @@ fn run_stage(
     let streams = topo.streams;
     // The event-horizon solver handles bandwidth caps, derates and
     // blame recorders (their per-quantum effects are constant within a
-    // certified segment, or replayed); only a trace sink forces pure
+    // closed-form segment, or replayed); only a trace sink forces pure
     // stepping, since jumped quanta emit no per-quantum events.
-    let jump_ok = scratch.jump_enabled && jump_enabled() && sink.is_none();
+    let jump_ok = jump_enabled() && sink.is_none();
     if let Some(b) = blame.as_deref_mut() {
         b.begin_stage(stage_idx as usize);
     }
@@ -512,8 +516,8 @@ fn run_stage(
     // Deterministic solver-attempt throttle: after a quantum where the
     // horizon certifies nothing (or the fold declines), skip the next
     // `jump_backoff` attempts and double the window, resetting on any
-    // successful fold. Phases that never certify (derated drains,
-    // replay-refused shapes) then pay the horizon on ~1/64th of their
+    // successful fold. Phases that never certify (derated drains under
+    // unpinned budgets) then pay the horizon on ~1/64th of their
     // quanta instead of every one. Folds are bit-exact, so *which*
     // quanta get attempted cannot change results — the throttle is
     // per-stage local state, identical at any `--jobs`.
@@ -607,21 +611,20 @@ fn run_stage(
                 if jump_cooldown > 0 {
                     jump_cooldown -= 1;
                 } else {
-                    let k = jump_horizon(topo, scratch, dt, read_bpc, write_bpc, &stepped);
-                    let q = if k >= 1 {
-                        fold_jump(
+                    let q = match jump_horizon(topo, scratch, dt, read_bpc, write_bpc, &stepped) {
+                        Some(fold) => fold_jump(
                             topo,
                             scratch,
-                            k,
+                            fold,
                             dt,
+                            (read_bpc, write_bpc),
                             &stepped,
                             result,
                             read_samples,
                             write_samples,
                             blame.as_deref_mut(),
-                        )
-                    } else {
-                        0
+                        ),
+                        None => 0,
                     };
                     if q >= 1 {
                         cycles += q as f64 * dt;
@@ -694,168 +697,128 @@ fn fold_stream(done: &mut f64, d: f64, k: u64) {
     }
 }
 
-/// Applies up to `k` quanta of the current (horizon-certified)
-/// per-stream rates in one fused update, bit-identical to stepping that
-/// many times; returns the number of quanta actually folded.
+/// The two fold shapes [`jump_horizon`] chooses between for the segment
+/// after a stepped quantum.
+#[derive(Debug, Clone, Copy)]
+enum Fold {
+    /// Every node is certified constant for `k` quanta: the stepped
+    /// quantum repeats `k` times in closed form.
+    Closed(u64),
+    /// Both memory budgets are pinned: up to this many quanta run
+    /// through [`step`] with them dropped.
+    Replay(u64),
+}
+
+/// Advances the stage by the segment [`jump_horizon`] certified,
+/// bit-identical to stepping it; returns the number of quanta folded.
 ///
-/// Each node folds in the regime [`jump_horizon`] flagged for it:
+/// * [`Fold::Closed`] repeats the stepped quantum's per-stream deltas
+///   `k` times: [`fold_stream`] folds integral counters with one exact
+///   multiply and replays the additions otherwise, the byte totals are
+///   re-added once per quantum, busy cycles are charged `k·dt` per
+///   moving node, and the blame recorder re-adds each node's captured
+///   per-cause amounts ([`BlameRecorder::fold_quantum`]). Per-stream
+///   peak advances are maxima, so repeats leave them unchanged.
+///   Afterwards the nodes' cached availability is refreshed. The
+///   horizon's completion monitor keeps every stream short of its
+///   total, so no fold quantum finishes one.
+/// * [`Fold::Replay`] runs [`step`] itself with both budgets passed as
+///   `None`. The pin guarantees demand stays below each budget, where
+///   the shared factor recomputes to exactly 1.0 — which is also what
+///   a missing budget yields — so every replayed quantum *is* the
+///   stepped one, blame hooks included, and any replay length is
+///   exact. It stops after its length, when the stage finishes, or
+///   after a quantum that stalls, leaving the stepping loop to count
+///   (and report) a deadlock.
 ///
-///   * **constant** nodes repeat the stepped quantum's deltas exactly;
-///     [`fold_stream`] folds integral counters with one exact multiply
-///     and replays the additions otherwise. Their blame is the stepped
-///     quantum's captured per-(node, cause) amounts, re-added once per
-///     folded quantum;
-///   * **replayed** nodes rerun the stepped per-node passes
-///     ([`pass1`], [`pass2`]) each quantum, blame hooks included. With
-///     both shared memory budget factors pinned at exactly 1.0 (a
-///     certification precondition) a node's step is a pure function of
-///     neighbor stream progress, so the replay *is* the stepped
-///     computation, op for op — including stream completion, sorter
-///     batch boundaries and sequential input-slot switches, which
-///     therefore need no horizon margin on replayed nodes.
-///
-/// With no replayed node every folded quantum is the stepped one again,
-/// so the fold is a closed-form `k`-fold repeat. Otherwise it runs
-/// quantum by quantum: pass 1 of the replayed nodes against the
-/// pre-advance progress vector, then pass 2 in node order, so the byte
-/// accumulators rebuild the stepped summation tree (per-node subtotals
-/// folded in node order — f64 addition is not associative). Retired
-/// nodes are skipped whatever their regime. Busy cycles are accounted
-/// per quantum from actual movement; per-stream peak advances are
-/// maxima (unchanged by repeats, updated on replays). Afterwards the
-/// constant nodes' cached availability is refreshed. The fold never
-/// starts a quantum of a finished stage, so it records nothing stepping
-/// would not; a quantum that moves nothing in an unfinished stage is a
-/// deadlock, which stepping runs (and reports) too.
+/// The fold never starts a quantum of a finished stage, so it records
+/// nothing stepping would not.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 fn fold_jump(
     topo: &StageTopo,
     scratch: &mut SimScratch,
-    k: u64,
+    fold: Fold,
     dt: f64,
+    (read_bpc, write_bpc): (Option<f64>, Option<f64>),
     stepped: &StepStats,
     result: &mut TimingResult,
     read_samples: &mut TraceAccum,
     write_samples: &mut TraceAccum,
     mut blame: Option<&mut BlameRecorder>,
 ) -> u64 {
-    let n = topo.nodes.len();
-    if !scratch.replay[..n].iter().any(|&r| r) {
-        let kf = k as f64;
-        for node in &topo.nodes {
-            let mut m = 0.0_f64;
-            for input in &node.inputs {
-                let d = scratch.deltas[input.sid];
-                fold_stream(&mut scratch.done[input.sid], d, k);
-                debug_assert!(d == 0.0 || scratch.done[input.sid] < input.records);
-                m += d;
-            }
-            for output in &node.outputs {
-                let d = scratch.deltas[output.sid];
-                fold_stream(&mut scratch.done[output.sid], d, k);
-                debug_assert!(d == 0.0 || scratch.done[output.sid] < output.records);
-                m += d;
-            }
-            if m > 0.0 {
-                result.busy_cycles[node.kind as usize] += kf * dt;
-            }
-        }
-        refresh_constant_allowed(topo, scratch);
-        if stepped.read_bytes > 0.0 {
-            for _ in 0..k {
-                read_samples.total_bytes += stepped.read_bytes;
-            }
-        }
-        if stepped.write_bytes > 0.0 {
-            for _ in 0..k {
-                write_samples.total_bytes += stepped.write_bytes;
-            }
-        }
-        if let Some(b) = blame {
-            b.fold_quantum(k);
-        }
-        scratch.jumped_quanta += k;
-        scratch.jumps += 1;
-        return k;
-    }
-
-    let mut folded = 0_u64;
-    let (mut replayed, mut retired) = (0_u64, 0_u64);
-    loop {
-        let unfinished = scratch.open_streams > 0;
-        debug_assert_eq!(unfinished, stage_unfinished(topo, &scratch.done));
-        if folded >= k || !unfinished {
-            break;
-        }
-        // Pass 1 reads only the pre-advance progress vector and no other
-        // node's `desired`, so the constant nodes' stale entries are
-        // harmless.
-        for idx in 0..n {
-            if scratch.replay[idx] && !scratch.retired[idx] {
-                pass1(topo, idx, dt, scratch, blame.as_deref_mut());
-            }
-        }
-        let mut read_bytes = 0.0_f64;
-        let mut write_bytes = 0.0_f64;
-        let mut quantum_moved = 0.0_f64;
-        for (idx, node) in topo.nodes.iter().enumerate() {
-            replayed += u64::from(scratch.replay[idx]);
-            let (r, w, m) = if scratch.retired[idx] {
-                retired += 1;
-                if let Some(b) = blame.as_deref_mut() {
-                    b.quantum_idle(idx, dt);
-                }
-                (0.0, 0.0, 0.0)
-            } else if scratch.replay[idx] {
-                pass2(topo, idx, dt, 1.0, 1.0, scratch, result, None, blame.as_deref_mut())
-            } else {
-                let SimScratch { done, deltas, .. } = &mut *scratch;
-                let (mut r, mut w, mut m) = (0.0_f64, 0.0_f64, 0.0_f64);
+    let folded = match fold {
+        Fold::Closed(k) => {
+            let kf = k as f64;
+            for node in &topo.nodes {
+                let mut m = 0.0_f64;
                 for input in &node.inputs {
-                    let d = deltas[input.sid];
-                    if d != 0.0 {
-                        done[input.sid] += d;
-                        debug_assert!(done[input.sid] < input.records);
-                        m += d;
-                        if matches!(input.source, PlanSource::Memory) {
-                            r += d * input.width;
-                        }
-                    }
+                    let d = scratch.deltas[input.sid];
+                    fold_stream(&mut scratch.done[input.sid], d, k);
+                    debug_assert!(d == 0.0 || scratch.done[input.sid] < input.records);
+                    m += d;
                 }
                 for output in &node.outputs {
-                    let d = deltas[output.sid];
-                    if d != 0.0 {
-                        done[output.sid] += d;
-                        debug_assert!(done[output.sid] < output.records);
-                        m += d;
-                        if output.to_memory {
-                            w += d * output.width;
-                        }
-                    }
+                    let d = scratch.deltas[output.sid];
+                    fold_stream(&mut scratch.done[output.sid], d, k);
+                    debug_assert!(d == 0.0 || scratch.done[output.sid] < output.records);
+                    m += d;
                 }
                 if m > 0.0 {
-                    result.busy_cycles[node.kind as usize] += dt;
+                    result.busy_cycles[node.kind as usize] += kf * dt;
                 }
-                if let Some(b) = blame.as_deref_mut() {
-                    b.fold_node(idx, 1);
+            }
+            refresh_constant_allowed(topo, scratch);
+            if stepped.read_bytes > 0.0 {
+                for _ in 0..k {
+                    read_samples.total_bytes += stepped.read_bytes;
                 }
-                (r, w, m)
-            };
-            read_bytes += r;
-            write_bytes += w;
-            quantum_moved += m;
+            }
+            if stepped.write_bytes > 0.0 {
+                for _ in 0..k {
+                    write_samples.total_bytes += stepped.write_bytes;
+                }
+            }
+            if let Some(b) = blame {
+                b.fold_quantum(k);
+            }
+            k
         }
-        read_samples.sample(read_bytes, dt);
-        write_samples.sample(write_bytes, dt);
-        folded += 1;
-        if quantum_moved == 0.0 {
-            break;
+        Fold::Replay(len) => {
+            let retired_before = scratch.retired_node_quanta;
+            let mut folded = 0_u64;
+            // The blame recorder's per-quantum captures are read only
+            // after a stepped quantum, which resets them first.
+            while folded < len && scratch.open_streams > 0 {
+                let s = step(
+                    topo,
+                    dt,
+                    None,
+                    None,
+                    scratch,
+                    result,
+                    read_samples,
+                    write_samples,
+                    None,
+                    blame.as_deref_mut(),
+                );
+                debug_assert!(
+                    factor(s.read_demand, read_bpc.map(|b| b * dt)) == 1.0
+                        && factor(s.write_demand, write_bpc.map(|b| b * dt)) == 1.0,
+                    "a replayed quantum's memory demand exceeded a pinned budget"
+                );
+                folded += 1;
+                // The stepping loop's stall test: it counts (and
+                // reports) a deadlock.
+                if s.moved <= f64::EPSILON {
+                    break;
+                }
+            }
+            let retired = scratch.retired_node_quanta - retired_before;
+            scratch.replayed_node_quanta += folded * topo.nodes.len() as u64 - retired;
+            folded
         }
-    }
-    refresh_constant_allowed(topo, scratch);
-    scratch.replayed_node_quanta += replayed;
-    scratch.retired_node_quanta += retired;
+    };
     if folded > 0 {
         scratch.jumped_quanta += folded;
         scratch.jumps += 1;
@@ -863,14 +826,14 @@ fn fold_jump(
     folded
 }
 
-/// Re-caches the availability of every node the fold advanced as
-/// constant: their inputs moved without a pass 2 to refresh `allowed`,
-/// which the next pass 1 reads. Replayed nodes refreshed it themselves;
-/// retired nodes' availability cannot change.
+/// Re-caches every unretired node's availability after a closed-form
+/// fold: their inputs moved without a pass 2 to refresh `allowed`,
+/// which the next pass 1 reads. Retired nodes' availability cannot
+/// change.
 fn refresh_constant_allowed(topo: &StageTopo, scratch: &mut SimScratch) {
-    let SimScratch { done, allowed, replay, retired, .. } = scratch;
+    let SimScratch { done, allowed, retired, .. } = scratch;
     for (idx, node) in topo.nodes.iter().enumerate() {
-        if !replay[idx] && !retired[idx] {
+        if !retired[idx] {
             for (port, output) in node.outputs.iter().enumerate() {
                 allowed[output.sid] = out_available(node, port, done);
             }
@@ -878,9 +841,9 @@ fn refresh_constant_allowed(topo: &StageTopo, scratch: &mut SimScratch) {
     }
 }
 
-/// Upper bound on quanta folded per jump: keeps a single replay loop
-/// (and the unbounded all-replay case) from monopolizing the stepping
-/// loop's bookkeeping; the next stepped quantum simply re-certifies.
+/// Upper bound on quanta folded per jump: keeps one fold from
+/// monopolizing the stepping loop's bookkeeping; the next stepped
+/// quantum simply re-certifies.
 const JUMP_CAP: u64 = 1 << 20;
 
 /// Immutable view of the per-quantum state the horizon monitors read.
@@ -892,62 +855,51 @@ struct HorizonView<'a> {
     noc_out: &'a [f64],
     out_capped: &'a [bool],
     desired: &'a [f64],
-    replay: &'a [bool],
     dt: f64,
     margin: f64,
     write_factor: f64,
 }
 
-/// The analytic event-horizon solver: how many further quanta the
-/// binding-constraint set provably persists (0 = don't jump), computed
-/// in closed form from the quantum just stepped.
+/// The analytic event-horizon solver: which [`Fold`] the segment after
+/// the quantum just stepped takes (`None` = don't jump), computed in
+/// closed form from that quantum.
 ///
 /// The per-quantum step is piecewise-affine in the progress vector:
 /// every `min`/`max` clamp in [`desired_advance`] / [`apply_advance`] /
 /// [`memory_demand`] is a kink, and between kinks every quantum repeats
-/// the same per-stream additions exactly. The solver flags every node
-/// of the stage with one of two fold regimes (`SimScratch::replay`,
-/// rewritten on every call) and bounds the horizon accordingly:
+/// the same per-stream additions exactly. The segment folds in closed
+/// form when every node of the stage is **constant**: every clamp
+/// operand it recomputes is either *exactly constant* (bit-identical
+/// recomputation — NoC caps, derated tile rates, budget factors over
+/// constant demand) or *drifts affinely while staying strictly clear of
+/// the binding level* (so the `min` result is unchanged), and every
+/// moving output port advances by exact integer arithmetic. The
+/// monitors below bound the quanta until an operand could cross, with a
+/// safety margin `M = 2·dt + 2` records so boundary roundoff can never
+/// flip a comparison inside the horizon; the horizon is the smallest
+/// node bound.
 ///
-///   * **constant** — every clamp operand the node recomputes is either
-///     *exactly constant* (bit-identical recomputation — NoC caps,
-///     derated tile rates, budget factors over constant demand) or
-///     *drifts affinely while staying strictly clear of the binding
-///     level* (so the `min` result is unchanged), and every moving
-///     output port advances by exact integer arithmetic. The monitors
-///     below bound the quanta until an operand could cross, with a
-///     safety margin `M = 2·dt + 2` records so boundary roundoff can
-///     never flip a comparison inside the horizon.
-///   * **replayed** — every other node: one with a binding output port
-///     that is not exactly synchronous with its availability, one with
-///     a moving port whose progress is non-integral (the stepped apply
-///     computes `produced = fl(fl(done + cap) − done)`, which varies by
-///     ULPs as `done` grows), and one the monitors cannot certify.
-///     [`fold_jump`] re-executes it exactly each folded quantum, making
-///     every one of its own events exact by construction. Replay
-///     requires both shared memory budget factors *pinned* — ceilings
-///     over every unfinished memory-touching stream show demand cannot
-///     reach budget, so each factor recomputes to exactly 1.0 and pass 2
-///     scales by bitwise identities. Without the pin a node that needs
-///     replay refuses the jump.
+/// A node is not constant when an output port binds its apply or demand
+/// cap without advancing exactly in step with its availability, or
+/// moves with non-integral progress (the stepped apply computes
+/// `produced = fl(fl(done + cap) − done)`, which varies by ULPs as
+/// `done` grows), or when a monitor cannot certify it for one quantum.
+/// The segment is then **replayed** through [`step`] whenever both
+/// shared memory budgets are *pinned* ([`budgets_pinned`]), and the
+/// jump is refused otherwise. The pin makes any replay length exact;
+/// the replay ends where the smallest bound of the certified nodes
+/// does (the rest of the stage, up to [`JUMP_CAP`], when none
+/// certifies), so that the closed form can take over again once the
+/// other nodes settle.
 ///
-/// The two regimes interact through the promotion fixpoint: a constant
-/// node's clamps that read a replayed neighbor's stream can only be
-/// certified against the *envelope* — a replayed stream advances
-/// anywhere in `[0, dt]` per quantum — and a constant node that cannot
-/// certify (binding too near, or its own completion within the margin)
-/// is promoted to replay itself. Promotion is monotone, so the loop
-/// converges; the final clean round's minimum bound is the horizon.
-///
-/// Monitors for constant nodes:
+/// Monitors:
 ///
 /// 1. **completion** — an advancing stream must stay `M` short of its
 ///    total, so `remaining`-clamps, finished-flags, memory-demand
 ///    gates, and blame phase flags cannot trip;
 /// 2. **producer gap** — an in-stage consumer's availability window
 ///    (`done_src − done_in`) must stay clear of the margin unless it is
-///    exactly constant; against a replayed producer the window shrinks
-///    at up to the consumer's own constant rate;
+///    exactly constant;
 /// 3. **sorter batch** — a filling sorter must not cross its next
 ///    1024-record batch boundary (availability is a step function);
 /// 4. **apply / demand target** — `produced = min(allowed, done + c,
@@ -956,15 +908,12 @@ struct HorizonView<'a> {
 ///    the write-budget factor on memory-bound ports) and the
 ///    demand-side cap (`dt`, [`memory_demand`]'s write estimate).
 ///    Either `allowed` stays ≥ 1 record clear above `done + c`, or it
-///    is binding and drifts at exactly the output's rate (otherwise the
-///    node is replayed);
+///    is binding and drifts at exactly the output's rate;
 /// 5. **desired backpressure** — the `out_cap/ratio` terms (buffer
 ///    slack over the effective streaming base — `min(dt, noc_out)` on
 ///    NoC-capped ports — and consumer queue headroom) must stay
 ///    strictly above the node's pass-1 desired advance `A` (plus one
-///    record), or be exactly constant/synchronous; a replayed consumer
-///    moves the headroom anywhere in `[−d_out, dt − d_out]` per
-///    quantum, so the clearance is consumed at the producer's rate.
+///    record), or be exactly constant/synchronous.
 ///
 /// `A` is the stepped quantum's final pass-1 `desired` (not the applied
 /// delta): under a read-budget factor the applied advance is smaller
@@ -973,59 +922,25 @@ struct HorizonView<'a> {
 /// recomputing to the same result.
 ///
 /// Nothing here reads the observers: a blame recorder folds along
-/// (constant nodes re-add their captured amounts, replayed nodes
-/// re-record), so attaching one never changes which segments fold.
+/// (re-adding its captured amounts, or re-recording under replay), so
+/// attaching one never changes which segments fold.
 #[inline(never)]
 fn jump_horizon(
     topo: &StageTopo,
-    scratch: &mut SimScratch,
+    scratch: &SimScratch,
     dt: f64,
     read_bpc: Option<f64>,
     write_bpc: Option<f64>,
     stepped: &StepStats,
-) -> u64 {
-    let n = topo.nodes.len();
-    let SimScratch { done, deltas, allowed, adv0, noc_out, out_capped, desired, replay, .. } =
-        &mut *scratch;
-    let done = &done[..];
+) -> Option<Fold> {
+    let SimScratch { done, deltas, allowed, adv0, noc_out, out_capped, desired, .. } = scratch;
     let delta = &deltas[..];
-    let allowed = &allowed[..];
-    let adv0 = &adv0[..];
-    let noc_out = &noc_out[..];
-    let out_capped = &out_capped[..];
-    let desired = &desired[..];
-    let margin = 2.0 * dt + 2.0;
-
-    // Global precondition for node replay. The ceilings are
-    // conservative — every unfinished memory-touching stream moving a
-    // full quantum — and monotone decreasing as streams finish, so a
-    // pin certified here holds for the whole fold.
-    let mut read_ceiling = 0.0_f64;
-    let mut write_ceiling = 0.0_f64;
-    for node in &topo.nodes {
-        for input in &node.inputs {
-            if matches!(input.source, PlanSource::Memory) && done[input.sid] < input.records {
-                read_ceiling += dt * input.width;
-            }
-        }
-        for output in &node.outputs {
-            if output.to_memory && done[output.sid] < output.records {
-                write_ceiling += dt * output.width;
-            }
-        }
-    }
-    let pinned = |bpc: Option<f64>, ceiling: f64| match bpc.map(|b| b * dt) {
-        None => true,
-        Some(budget) => ceiling + 1.0 <= budget,
-    };
-    let replay_ok = pinned(write_bpc, write_ceiling) && pinned(read_bpc, read_ceiling);
-
     // Classification: a node whose unfinished output port binds its
     // apply or demand cap without advancing exactly in step with its
     // availability, or moves with non-integral progress, cannot repeat
-    // a constant delta — it is replayed (or the jump refused).
-    for (idx, node) in topo.nodes.iter().enumerate() {
-        replay[idx] = node.outputs.iter().enumerate().any(|(port, output)| {
+    // a constant delta.
+    let not_constant = |idx: usize, node: &PlanNode| {
+        node.outputs.iter().enumerate().any(|(port, output)| {
             let sid = output.sid;
             if done[sid] >= output.records {
                 return false;
@@ -1041,73 +956,77 @@ fn jump_horizon(
             let fractional =
                 delta[sid] != 0.0 && !(done[sid].fract() == 0.0 && delta[sid].fract() == 0.0);
             (binding && !synchronous) || fractional
-        });
-    }
-    if !replay_ok && replay[..n].iter().any(|&r| r) {
-        return 0;
-    }
+        })
+    };
 
-    // Promotion fixpoint: a surviving constant node must certify every
-    // clamp it recomputes against its neighbors — including replayed
-    // streams, whose per-quantum advance is only bounded by the
-    // envelope. A node that cannot is promoted to replay itself (or
-    // the jump refused when replay is unavailable). Promotion only
-    // adds replayed nodes, so the loop converges within `n` rounds;
-    // bounds computed in a round with a promotion are discarded.
-    loop {
-        let mut promoted = false;
-        let mut k = f64::INFINITY;
-        for idx in 0..n {
-            if replay[idx] {
-                continue;
-            }
-            let view = HorizonView {
-                done,
-                delta,
-                allowed,
-                adv0,
-                noc_out,
-                out_capped,
-                desired,
-                replay: &replay[..],
-                dt,
-                margin,
-                write_factor: stepped.write_factor,
-            };
-            let b = node_bound(topo, idx, &view);
-            if b < 1.0 {
-                if !replay_ok {
-                    return 0;
-                }
-                replay[idx] = true;
-                promoted = true;
-            } else {
-                k = k.min(b);
-            }
-        }
-        if !promoted {
-            if k < 1.0 {
-                return 0;
-            }
-            if !k.is_finite() {
-                // Unbounded: only sound when replayed nodes carry the
-                // whole fold (the replay loop stops itself on
-                // completion); otherwise nothing moves — refuse
-                // defensively.
-                if replay[..n].iter().any(|&r| r) {
-                    return JUMP_CAP;
-                }
-                return 0;
-            }
-            return (k as u64).min(JUMP_CAP);
+    let view = HorizonView {
+        done,
+        delta,
+        allowed,
+        adv0,
+        noc_out,
+        out_capped,
+        desired,
+        dt,
+        margin: 2.0 * dt + 2.0,
+        write_factor: stepped.write_factor,
+    };
+    let mut k = f64::INFINITY;
+    let mut closed = true;
+    for (idx, node) in topo.nodes.iter().enumerate() {
+        let b = if not_constant(idx, node) { 0.0 } else { node_bound(topo, idx, &view) };
+        if b < 1.0 {
+            closed = false;
+        } else {
+            k = k.min(b);
         }
     }
+    // `as` saturates, so an unbounded `k` replays up to the cap.
+    let len = (k as u64).min(JUMP_CAP);
+    if closed {
+        // Unbounded means no stream advances — refuse defensively.
+        return k.is_finite().then_some(Fold::Closed(len));
+    }
+    budgets_pinned(topo, done, dt, read_bpc, write_bpc).then_some(Fold::Replay(len))
 }
 
-/// The horizon bound for one *constant* node: how many quanta monitors
-/// (1)–(5) certify its recomputation stays bit-identical (see
-/// [`jump_horizon`]); `< 1.0` means it cannot be certified at all and
-/// must be promoted to replay (or the jump refused).
+/// Whether both shared memory budgets are *pinned* for the rest of the
+/// stage: ceilings over every unfinished memory-touching stream moving
+/// a full quantum stay a record below each budget, so each budget
+/// factor recomputes to exactly 1.0. The ceilings are monotone
+/// decreasing as streams finish, so a pin certified here holds until
+/// the stage ends.
+fn budgets_pinned(
+    topo: &StageTopo,
+    done: &[f64],
+    dt: f64,
+    read_bpc: Option<f64>,
+    write_bpc: Option<f64>,
+) -> bool {
+    if read_bpc.is_none() && write_bpc.is_none() {
+        return true;
+    }
+    let mut read_ceiling = 0.0_f64;
+    let mut write_ceiling = 0.0_f64;
+    for node in &topo.nodes {
+        for input in &node.inputs {
+            if matches!(input.source, PlanSource::Memory) && done[input.sid] < input.records {
+                read_ceiling += dt * input.width;
+            }
+        }
+        for output in &node.outputs {
+            if output.to_memory && done[output.sid] < output.records {
+                write_ceiling += dt * output.width;
+            }
+        }
+    }
+    let pinned = |bpc: Option<f64>, ceiling: f64| bpc.is_none_or(|b| ceiling + 1.0 <= b * dt);
+    pinned(write_bpc, write_ceiling) && pinned(read_bpc, read_ceiling)
+}
+
+/// The horizon bound for one node: how many quanta monitors (1)–(5)
+/// certify its recomputation stays bit-identical (see
+/// [`jump_horizon`]); `< 1.0` means it cannot be certified at all.
 #[inline(never)]
 fn node_bound(topo: &StageTopo, idx: usize, v: &HorizonView) -> f64 {
     let node = &topo.nodes[idx];
@@ -1149,28 +1068,15 @@ fn node_bound(topo: &StageTopo, idx: usize, v: &HorizonView) -> f64 {
     // this quantum (lockstep: all unfinished; sequential: the active
     // slot — (1) keeps it active across the horizon).
     let gap_bound = |input: &PlanInput, k: f64| -> f64 {
-        let PlanSource::InStage { src_sid, src_idx, .. } = input.source else {
+        let PlanSource::InStage { src_sid, .. } = input.source else {
             return k;
         };
-        let gap = done[src_sid] - done[input.sid];
-        if v.replay[src_idx as usize] {
-            // Envelope: the replayed producer advances anywhere in
-            // [0, dt] per quantum, so the window shrinks at up to this
-            // input's own constant rate.
-            if gap <= margin {
-                return 0.0;
-            }
-            let din = delta[input.sid];
-            if din > 0.0 {
-                return k.min(((gap - margin) / din).floor());
-            }
-            return k;
-        }
         let drift = delta[src_sid] - delta[input.sid];
         if drift == 0.0 {
             // Constant gap: the same clamp value recomputes.
             return k;
         }
+        let gap = done[src_sid] - done[input.sid];
         if gap <= margin {
             return 0.0;
         }
@@ -1222,7 +1128,7 @@ fn node_bound(topo: &StageTopo, idx: usize, v: &HorizonView) -> f64 {
                     k = k.min(((slack_b - 1.0) / -d).floor());
                 }
                 // Binding caps were resolved by the classification
-                // pass (synchronous, or the node replayed).
+                // (synchronous, or the segment is not constant).
             }
         }
 
@@ -1241,37 +1147,13 @@ fn node_bound(topo: &StageTopo, idx: usize, v: &HorizonView) -> f64 {
             k = k.min(((t_a - clear) / (-d / output.ratio)).floor());
         }
 
-        for &(c, cons_sid) in &output.consumers {
-            let h = done[cons_sid] + QUEUE_RECORDS - done[sid];
-            if v.replay[c] {
-                // Envelope: the replayed consumer's progress moves the
-                // headroom anywhere in [−d_out, dt − d_out] per
-                // quantum.
-                if h > 0.0 {
-                    let t_h = (h + dt) / output.ratio;
-                    if t_h <= a + 2.0 || h <= 1.0 {
-                        return 0.0;
-                    }
-                    if d_out > 0.0 {
-                        k = k.min((((t_h - a - 2.0) * output.ratio) / d_out).floor());
-                        k = k.min(((h - 1.0) / d_out).floor());
-                    }
-                } else {
-                    // Saturated: the headroom term is exactly `dt`
-                    // while the queue stays full; it can refill at up
-                    // to `dt − d_out` per quantum.
-                    let grow = dt - d_out;
-                    if grow > 0.0 {
-                        k = k.min(((-h - 1.0) / grow).floor());
-                    }
-                }
-                continue;
-            }
+        for &(_, cons_sid) in &output.consumers {
             let dh = delta[cons_sid] - d_out;
             if dh == 0.0 {
                 // Constant headroom recomputes identically.
                 continue;
             }
+            let h = done[cons_sid] + QUEUE_RECORDS - done[sid];
             if h > 0.0 {
                 let t_h = (h + dt) / output.ratio;
                 if t_h <= a + 1.0 {
@@ -1347,7 +1229,7 @@ fn allowed_drift(
                 // every operand is an integer (f64 adds of integers
                 // below 2^53 are exact); fractional progress makes the
                 // sum's first differences wobble at ulp scale, which
-                // node replay absorbs but a constant fold must not
+                // a replay absorbs but a closed-form fold must not
                 // claim.
                 let exact = drift == 0.0
                     || node
@@ -1361,16 +1243,19 @@ fn allowed_drift(
 }
 
 /// What one quantum moved: total records, the memory bytes it
-/// transferred (also sampled into the bandwidth accumulators), and the
+/// transferred (also sampled into the bandwidth accumulators), the
 /// shared write-budget factor it applied — [`jump_horizon`] needs the
 /// factor's value to monitor the scaled apply cap, and [`fold_jump`]
-/// replays the byte counts.
+/// repeats the byte counts — and its pass-1 memory demand (zero when
+/// no budget applies, outside debug builds).
 #[derive(Debug, Clone, Copy)]
 struct StepStats {
     moved: f64,
     read_bytes: f64,
     write_bytes: f64,
     write_factor: f64,
+    read_demand: f64,
+    write_demand: f64,
 }
 
 /// Output records currently allowed on `port`, given input progress and
@@ -1421,7 +1306,13 @@ fn in_done(node: &PlanNode, done: &[f64]) -> f64 {
 
 /// Advances the fluid network by `dt` cycles; returns what moved. When
 /// `busy` is supplied (tracing), it is filled with the number of busy
-/// instructions per tile kind this quantum.
+/// instructions per tile kind this quantum. The only per-quantum
+/// kernel: the stepping loop and [`fold_jump`]'s replay both run it.
+///
+/// Memory demand only feeds the budget factors, and a missing budget's
+/// factor is exactly 1.0 whatever the demand, so with both budgets
+/// `None` the demand is skipped — except in debug builds, where the
+/// replay fold checks it against the budgets it dropped.
 #[allow(clippy::too_many_arguments)]
 fn step(
     topo: &StageTopo,
@@ -1439,6 +1330,7 @@ fn step(
     // Pass 1: per-node desired input advance (records over this quantum)
     // ignoring the shared memory budget, plus the memory demand it
     // implies. Retired nodes want nothing and demand nothing.
+    let need_demand = read_bpc.is_some() || write_bpc.is_some() || cfg!(debug_assertions);
     let mut read_demand = 0.0_f64;
     let mut write_demand = 0.0_f64;
     for idx in 0..n {
@@ -1447,9 +1339,11 @@ fn step(
             continue;
         }
         let d = pass1(topo, idx, dt, scratch, blame.as_deref_mut());
-        let (r, w) = memory_demand(&topo.nodes[idx], d, dt, &scratch.done, &scratch.allowed);
-        read_demand += r;
-        write_demand += w;
+        if need_demand {
+            let (r, w) = memory_demand(&topo.nodes[idx], d, dt, &scratch.done, &scratch.allowed);
+            read_demand += r;
+            write_demand += w;
+        }
     }
     let read_factor = factor(read_demand, read_bpc.map(|b| b * dt));
     let write_factor = factor(write_demand, write_bpc.map(|b| b * dt));
@@ -1485,13 +1379,12 @@ fn step(
     }
     read_samples.sample(read_bytes, dt);
     write_samples.sample(write_bytes, dt);
-    StepStats { moved, read_bytes, write_bytes, write_factor }
+    StepStats { moved, read_bytes, write_bytes, write_factor, read_demand, write_demand }
 }
 
 /// Pass 1 of one quantum for node `idx`: its [`desired_advance`]
 /// against the pre-advance progress vector, stored in `desired`, with
-/// the binding clamp handed to the blame recorder. [`step`] and the
-/// replayed nodes of [`fold_jump`] share it.
+/// the binding clamp handed to the blame recorder.
 ///
 /// A node whose streams are all done retires here: with its inputs
 /// frozen its `desired` and `allowed` are now constant, so both passes
@@ -1543,10 +1436,8 @@ fn pass1(
 
 /// Pass 2 of one quantum for node `idx`: scales its desired advance by
 /// the shared read-budget factor when it reads memory, applies it
-/// ([`apply_advance`]), and books busy cycles and blame. [`step`] and
-/// the replayed nodes of [`fold_jump`] share it; the fold passes both
-/// factors as exactly 1.0, where every scaling is a bitwise identity.
-/// Returns `(read_bytes, write_bytes, records_moved)`.
+/// ([`apply_advance`]), and books busy cycles and blame. Returns
+/// `(read_bytes, write_bytes, records_moved)`.
 #[allow(clippy::too_many_arguments)]
 fn pass2(
     topo: &StageTopo,

@@ -408,7 +408,8 @@ pub struct ResilientOutcome {
 /// `sim.jumps` / `sim.jumped_quanta` / `sim.stepped_quanta` /
 /// `sim.replayed_node_quanta` / `sim.retired_node_quanta` counters
 /// reporting how much of the derated run the event-horizon solver
-/// skipped.
+/// skipped, how many unretired node-quanta its replay folds ran, and
+/// how many node-quanta retirement skipped.
 ///
 /// # Errors
 ///

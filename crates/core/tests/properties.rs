@@ -8,6 +8,7 @@
 use q100_xrand::Rng;
 
 use q100_columnar::{Column, MemoryCatalog, Table, Value};
+use q100_core::trace::NullSink;
 use q100_core::{
     check_feasible, execute, schedule, simulate_plan, AggOp, AluOp, Bandwidth, CmpOp, CoreError,
     GraphProfile, Observe, PortRef, QueryGraph, SchedulerKind, SimConfig, SimScratch, Simulator,
@@ -372,8 +373,10 @@ fn quantum_jump_matches_pure_stepping_on_random_graphs() {
         let mut scratch = SimScratch::new();
         let jumped = simulate_plan(&plan, &config, &mut scratch, Observe::default()).unwrap();
         jumped_quanta += scratch.jumped_quanta;
-        scratch.jump_enabled = false;
-        let stepped = simulate_plan(&plan, &config, &mut scratch, Observe::default()).unwrap();
+        // A trace sink forces pure stepping (jumped quanta emit no
+        // per-quantum events).
+        let stepped_obs = Observe { sink: Some(&mut NullSink), blame: None };
+        let stepped = simulate_plan(&plan, &config, &mut scratch, stepped_obs).unwrap();
         assert_eq!(jumped, stepped, "jumped and stepped timing must agree bit-for-bit");
         compared += 1;
     });
@@ -469,14 +472,16 @@ fn quantum_jump_matches_pure_stepping_with_derates_and_blame() {
             "a blame recorder must not change the solver's decisions"
         );
 
-        scratch.jump_enabled = false;
-        let stepped = simulate_plan(&plan, &config, &mut scratch, Observe::default()).unwrap();
+        // A trace sink forces pure stepping (jumped quanta emit no
+        // per-quantum events).
+        let stepped_obs = Observe { sink: Some(&mut NullSink), blame: None };
+        let stepped = simulate_plan(&plan, &config, &mut scratch, stepped_obs).unwrap();
         let mut stepped_rec = q100_core::BlameRecorder::new();
         let stepped_blamed = simulate_plan(
             &plan,
             &config,
             &mut scratch,
-            Observe { sink: None, blame: Some(&mut stepped_rec) },
+            Observe { sink: Some(&mut NullSink), blame: Some(&mut stepped_rec) },
         )
         .unwrap();
 

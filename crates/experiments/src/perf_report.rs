@@ -81,8 +81,9 @@ pub struct PerfReport {
     /// compiled plans existed, so the JSON schema is unchanged).
     pub cache: q100_core::CacheStats,
     /// Event-horizon solver counters over the whole report: fused jumps
-    /// taken, quanta they skipped, quanta stepped one by one, and the
-    /// node-quanta the replay fold ran and retirement skipped. The
+    /// taken, quanta they skipped, quanta stepped one by one, the
+    /// unretired node-quanta run inside replay folds, and the
+    /// node-quanta retirement skipped. The
     /// simulations are deterministic, so these are byte-identical at
     /// any `--jobs` setting.
     pub jump: crate::runner::JumpStats,

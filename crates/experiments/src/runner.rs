@@ -54,10 +54,10 @@ pub struct JumpStats {
     pub jumped_quanta: u64,
     /// Quanta executed step-by-step.
     pub stepped_quanta: u64,
-    /// Node-quanta the replay fold ran for replayed nodes.
+    /// Unretired node-quanta run inside replay folds.
     pub replayed_node_quanta: u64,
     /// Node-quanta of retired (finished) nodes whose passes were
-    /// skipped.
+    /// skipped, stepped or replayed.
     pub retired_node_quanta: u64,
 }
 

@@ -7,6 +7,7 @@
 use std::sync::Arc;
 
 use q100_core::exec::{simulate_plan, Observe, TimingResult, ENDPOINTS};
+use q100_core::trace::NullSink;
 use q100_core::{schedule, Bandwidth, SimConfig, SimScratch, StagePlan, TileMix};
 use q100_experiments::{paper_designs, Workload};
 
@@ -230,8 +231,10 @@ fn quantum_jump_is_bit_identical_on_tpch() {
             let mut scratch = SimScratch::new();
             let jumped = simulate_plan(&plan, &config, &mut scratch, Observe::default()).unwrap();
             jumped_quanta += scratch.jumped_quanta;
-            scratch.jump_enabled = false;
-            let stepped = simulate_plan(&plan, &config, &mut scratch, Observe::default()).unwrap();
+            // A trace sink forces pure stepping (jumped quanta emit no
+            // per-quantum events).
+            let stepped_obs = Observe { sink: Some(&mut NullSink), blame: None };
+            let stepped = simulate_plan(&plan, &config, &mut scratch, stepped_obs).unwrap();
             assert_eq!(jumped, stepped, "{design}/{}", prepared.query.name);
         }
     }
