@@ -1,9 +1,10 @@
 //! The bounded, thread-safe memo behind every cache in the simulator.
 //!
-//! [`ScheduleCache`](crate::ScheduleCache), [`PlanCache`](crate::PlanCache)
-//! and [`ServiceCostCache`](crate::ServiceCostCache) are instances of
-//! [`BoundedCache`]: each value is a pure function of its key, so the
-//! cache only ever trades memory for recomputation, never results.
+//! [`ScheduleCache`](crate::ScheduleCache), [`PlanCache`](crate::PlanCache),
+//! [`ServiceCostCache`](crate::ServiceCostCache) and the experiments
+//! workload's timing memo are instances of [`BoundedCache`]: each value
+//! is a pure function of its key, so the cache only ever trades memory
+//! for recomputation, never results.
 //!
 //! * **Single flight.** [`BoundedCache::get_or_insert_with`] computes a
 //!   fresh key exactly once, outside the map lock: late arrivals for a

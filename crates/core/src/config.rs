@@ -108,6 +108,20 @@ impl TileMix {
         &self.counts
     }
 
+    /// This mix clamped to a per-kind node `demand` (in [`TileKind`]
+    /// order): each count becomes `min(count, demand)`, so kinds with no
+    /// demand drop to 0. Schedulers only test `used < count` with `used`
+    /// bounded by the demand, so a graph schedules identically on a mix
+    /// and on its clamp (see [`crate::QueryGraph::clamp_mix`]).
+    #[must_use]
+    pub fn clamped_to(&self, demand: &[usize; TileKind::COUNT]) -> Self {
+        let mut counts = self.counts;
+        for (c, &d) in counts.iter_mut().zip(demand) {
+            *c = (*c).min(u32::try_from(d).unwrap_or(u32::MAX));
+        }
+        TileMix { counts }
+    }
+
     /// Total number of tiles.
     #[must_use]
     pub fn total(&self) -> u32 {

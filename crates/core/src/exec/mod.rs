@@ -250,13 +250,28 @@ impl<'a> Simulator<'a> {
         obs: Observe<'_>,
     ) -> Result<SimOutcome> {
         let timing = timing::simulate_plan(plan, self.config, scratch, obs)?;
-        Ok(SimOutcome {
+        Ok(self.outcome(plan, functional, graph, timing))
+    }
+
+    /// Assembles the [`SimOutcome`] of `plan` under this configuration
+    /// from its `timing` — a fresh kernel result, or a memoized one of
+    /// the same plan and timing-relevant configuration. Energy and
+    /// power read this configuration's mix.
+    #[must_use]
+    pub fn outcome(
+        &self,
+        plan: &StagePlan,
+        functional: &FunctionalRun,
+        graph: &QueryGraph,
+        timing: TimingResult,
+    ) -> SimOutcome {
+        SimOutcome {
             cycles: timing.cycles,
             results: functional.results(graph),
             schedule: Arc::clone(plan.schedule()),
             timing,
             config: self.config.clone(),
-        })
+        }
     }
 }
 

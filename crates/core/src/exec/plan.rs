@@ -502,25 +502,26 @@ impl SimScratch {
 }
 
 /// A thread-safe memo of compiled plans keyed by *query tag ×
-/// scheduler × tile mix* — the plan-layer twin of [`ScheduleCache`]
-/// (see [`BoundedCache`]).
+/// scheduler × demand-clamped tile mix* — the plan-layer twin of
+/// [`ScheduleCache`] (see [`BoundedCache`]).
 ///
 /// A [`StagePlan`] depends on exactly what its schedule depends on (the
-/// query graph, scheduler, tile mix, and volume profile), so the two
-/// caches share key semantics: callers assign each distinct (graph,
-/// profile) pair a stable `tag`. On a miss, [`PlanCache::get_or_compile`]
-/// first resolves the schedule through the supplied [`ScheduleCache`]
+/// query graph, scheduler, volume profile, and the tile mix up to each
+/// kind's node demand, [`QueryGraph::clamp_mix`]), so the two caches
+/// share key semantics: callers assign each distinct (graph, profile)
+/// pair a stable `tag`. On a miss, [`PlanCache::get_or_compile`] first
+/// resolves the schedule through the supplied [`ScheduleCache`]
 /// (keeping the schedule memo warm for callers that still want bare
-/// schedules) and then compiles the topology once; every subsequent
-/// configuration of a sweep reuses the compiled artifact. Compilation
-/// is single-flight, so the number of calls this cache issues into the
-/// backing [`ScheduleCache`] is exactly one per key regardless of worker
-/// timing.
+/// schedules) and then compiles the topology once; every later mix
+/// with the same clamp, and every configuration of a bandwidth sweep,
+/// reuses the compiled artifact. Compilation is single-flight, so the
+/// number of calls this cache issues into the backing [`ScheduleCache`]
+/// is exactly one per key regardless of worker timing.
 pub type PlanCache = BoundedCache<(u64, SchedulerKind, TileMix), Arc<StagePlan>>;
 
 impl PlanCache {
-    /// Returns the memoized plan for `(tag, kind, mix)`, scheduling
-    /// (via `sched_cache`) and compiling on a miss.
+    /// Returns the memoized plan for `(tag, kind, graph.clamp_mix(mix))`,
+    /// scheduling (via `sched_cache`) and compiling on a miss.
     ///
     /// `tag` must uniquely identify the (graph, profile) pair among all
     /// users of this cache, with the same failure mode as
@@ -539,9 +540,10 @@ impl PlanCache {
         profile: &GraphProfile,
         sched_cache: &ScheduleCache,
     ) -> Result<Arc<StagePlan>> {
-        self.get_or_insert_with((tag, kind, *mix), || {
+        let mix = graph.clamp_mix(mix);
+        self.get_or_insert_with((tag, kind, mix), || {
             sched_cache
-                .get_or_schedule(tag, kind, graph, mix, profile)
+                .get_or_schedule(tag, kind, graph, &mix, profile)
                 .and_then(|schedule| StagePlan::compile(graph, schedule, profile).map(Arc::new))
         })
     }

@@ -9,6 +9,7 @@ use std::fmt;
 
 use q100_columnar::Value;
 
+use crate::config::TileMix;
 use crate::error::{CoreError, Result};
 use crate::isa::ops::{AggOp, AluOp, CmpOp, Operand};
 use crate::tiles::TileKind;
@@ -315,6 +316,16 @@ impl QueryGraph {
         h
     }
 
+    /// The part of `mix` this graph's schedules can feel: each kind's
+    /// count clamped to the graph's node demand for it, and kinds the
+    /// graph never uses set to 0. Every scheduler picks the same
+    /// schedule on `mix` and on its clamp, so the schedule and plan
+    /// caches key on the clamp.
+    #[must_use]
+    pub fn clamp_mix(&self, mix: &TileMix) -> TileMix {
+        mix.clamped_to(&self.kind_histogram())
+    }
+
     /// Validates structural invariants: every input references an
     /// earlier node and an existing port, and operand counts match the
     /// operators.
@@ -607,6 +618,23 @@ mod tests {
         assert_eq!(h[TileKind::ColFilter as usize], 1);
         assert_eq!(h[TileKind::Stitch as usize], 1);
         assert_eq!(h[TileKind::Sorter as usize], 0);
+    }
+
+    #[test]
+    fn clamp_mix_caps_counts_at_demand_and_zeroes_unused_kinds() {
+        let g = tiny();
+        let clamped = g.clamp_mix(&TileMix::uniform(3));
+        assert_eq!(clamped.count(TileKind::ColSelect), 1);
+        assert_eq!(clamped.count(TileKind::Stitch), 1);
+        assert_eq!(clamped.count(TileKind::Sorter), 0);
+        assert_eq!(clamped.total(), 4);
+        let starved = TileMix::uniform(3).with_count(TileKind::BoolGen, 0);
+        assert_eq!(
+            g.clamp_mix(&starved).count(TileKind::BoolGen),
+            0,
+            "a missing kind stays missing"
+        );
+        assert_eq!(g.clamp_mix(&clamped), clamped, "the clamp is idempotent");
     }
 
     #[test]

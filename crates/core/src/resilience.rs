@@ -14,17 +14,18 @@
 //!    degraded one: killed instances leave the [`TileMix`], the
 //!    remaining derates become a [`Derate`] attached to the config.
 //! 3. [`run_resilient`] reschedules the query on the degraded mix
-//!    (through the shared [`ScheduleCache`], whose key includes the
-//!    full mix) and runs the timing simulation with the derating
-//!    factors active in the quantum loop. Infeasible degraded mixes
-//!    surface as [`CoreError::Unschedulable`] — never a panic — so
-//!    sweeps report the failure and keep going.
+//!    (through the shared [`PlanCache`] and [`ScheduleCache`], whose
+//!    keys clamp the mix to the query's per-kind demand, so a kill
+//!    below demand always reschedules) and runs the timing simulation
+//!    with the derating factors active in the quantum loop. Infeasible
+//!    degraded mixes surface as [`CoreError::Unschedulable`] — never a
+//!    panic — so sweeps report the failure and keep going.
 //!
 //! An empty scenario applies to *no change at all* (`derate: None`),
 //! so a fault-rate-0 run reproduces baseline cycle counts exactly.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use q100_trace::{Registry, TraceEvent, TraceSink};
 use q100_xrand::Rng;
@@ -396,10 +397,10 @@ pub struct ResilientOutcome {
 }
 
 /// Applies `scenario` to `base`, reschedules the query on the degraded
-/// mix through `plans` (whose key includes the full mix, so degraded
-/// mixes never reuse a stale schedule or compiled plan; `cache` backs
-/// the schedule half of each plan miss), and runs the timing simulation
-/// with the derating factors active.
+/// mix through `plans` (whose key is the demand-clamped mix, so a kill
+/// that bites into the query's demand never reuses a stale schedule or
+/// compiled plan; `cache` backs the schedule half of each plan miss),
+/// and runs the timing simulation with the derating factors active.
 ///
 /// Emits [`TraceEvent::FaultInjected`] per fault and
 /// [`TraceEvent::Reschedule`] when kills changed the mix into `sink`,
@@ -535,8 +536,9 @@ fn one_bits() -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CostKey {
     /// The canonical tile mix: kills folded in, then clamped to the
-    /// query's per-kind node demand (capacity beyond demand never
-    /// changes a schedule, see [`ScenarioClassifier`]).
+    /// query's per-kind node demand, undemanded kinds at 0 (capacity
+    /// beyond demand never changes a schedule, see
+    /// [`ScenarioClassifier`]).
     pub mix: TileMix,
     /// Per-kind throughput factor bits; `1.0` for kinds the query does
     /// not use (their factor is never read by the quantum loop).
@@ -672,8 +674,9 @@ const CAP_SLACK_MARGIN: f64 = 1.0 + 1e-9;
 /// 4. **Kill clamping** — schedulers only evaluate `used < count`
 ///    predicates with `used` bounded by the query's per-kind node
 ///    count, so capacity beyond that demand never alters a schedule;
-///    the canonical mix is `min(base − kills, demand)` per demanded
-///    kind (undemanded kinds keep their base count).
+///    the canonical mix is `min(base − kills, demand)` per kind
+///    ([`TileMix::clamped_to`], the clamp the schedule and plan caches
+///    key on too), which is 0 for undemanded kinds.
 ///
 /// `classify` is deterministic and thread-safe; the per-mix memo
 /// compiles plans *inside* its lock so the backing [`PlanCache`] sees
@@ -681,7 +684,7 @@ const CAP_SLACK_MARGIN: f64 = 1.0 + 1e-9;
 /// counters job-count independent).
 #[derive(Debug)]
 pub struct ScenarioClassifier {
-    demand: [u32; TileKind::COUNT],
+    demand: [usize; TileKind::COUNT],
     base_mix: TileMix,
     noc_bpc: Option<f64>,
     read_bpc: Option<f64>,
@@ -695,13 +698,8 @@ impl ScenarioClassifier {
     /// the device baseline is assumed healthy).
     #[must_use]
     pub fn new(graph: &QueryGraph, base: &SimConfig) -> Self {
-        let hist = graph.kind_histogram();
-        let mut demand = [0u32; TileKind::COUNT];
-        for (d, &h) in demand.iter_mut().zip(&hist) {
-            *d = u32::try_from(h).unwrap_or(u32::MAX);
-        }
         ScenarioClassifier {
-            demand,
+            demand: graph.kind_histogram(),
             base_mix: base.mix,
             noc_bpc: base.bandwidth.noc_gbps.map(gbps_to_bytes_per_cycle),
             read_bpc: base.bandwidth.mem_read_gbps.map(gbps_to_bytes_per_cycle),
@@ -712,21 +710,14 @@ impl ScenarioClassifier {
 
     /// The canonical mix `scenario`'s kills leave for this query.
     fn canonical_mix(&self, scenario: &FaultScenario) -> TileMix {
-        let mut counts = *self.base_mix.counts();
-        for fault in &scenario.faults {
-            if let Fault::TileKilled { kind } = fault {
-                if self.demand[*kind as usize] > 0 {
-                    let c = &mut counts[*kind as usize];
-                    *c = c.saturating_sub(1);
-                }
-            }
-        }
-        for (c, &d) in counts.iter_mut().zip(&self.demand) {
-            if d > 0 {
-                *c = (*c).min(d);
-            }
-        }
-        TileMix::new(counts)
+        scenario.degraded_mix(&self.base_mix).clamped_to(&self.demand)
+    }
+
+    /// The per-mix memo. Every critical section leaves the map
+    /// consistent, so a guard poisoned by a panicking thread is
+    /// recovered rather than propagated.
+    fn lock_meta(&self) -> MutexGuard<'_, HashMap<TileMix, Option<MixMeta>>> {
+        self.meta.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The memoized per-mix facts, compiling the plan on first sight of
@@ -742,7 +733,7 @@ impl ScenarioClassifier {
         plans: &PlanCache,
         tag: u64,
     ) -> Option<MixMeta> {
-        let mut map = self.meta.lock().unwrap();
+        let mut map = self.lock_meta();
         if let Some(meta) = map.get(&mix) {
             return meta.clone();
         }
@@ -765,11 +756,7 @@ impl ScenarioClassifier {
     /// (`None` when the mix is unschedulable or was never classified).
     #[must_use]
     pub fn plan(&self, mix: &TileMix) -> Option<Arc<StagePlan>> {
-        self.meta
-            .lock()
-            .unwrap()
-            .get(mix)
-            .and_then(|m| m.as_ref().map(|meta| Arc::clone(&meta.plan)))
+        self.lock_meta().get(mix).and_then(|m| m.as_ref().map(|meta| Arc::clone(&meta.plan)))
     }
 
     /// A derated cap factor as the quantum loop would feel it: `1.0`

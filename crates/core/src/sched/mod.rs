@@ -18,6 +18,7 @@ pub use exhaustive::schedule_semi_exhaustive;
 pub use naive::schedule_naive;
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::cache::BoundedCache;
@@ -43,6 +44,14 @@ pub struct Schedule {
     pub tinsts: Vec<Tinst>,
     /// `stage_of[node]` is the index of the tinst holding `node`.
     pub stage_of: Vec<usize>,
+}
+
+/// Hashes `stage_of` alone: the temporal instructions are a function of
+/// it, so equal schedules still hash equal.
+impl Hash for Schedule {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.stage_of.hash(state);
+    }
 }
 
 impl Schedule {
@@ -251,12 +260,12 @@ pub(crate) fn list_schedule(
     // volumes in data-aware mode), pending-producer counts, and the
     // heaviest outgoing edge (the secondary score).
     let mut kind_of: Vec<usize> = Vec::with_capacity(n);
-    let mut pending: Vec<u32> = vec![0; n];
+    let mut pending: Vec<usize> = vec![0; n];
     let mut consumers: Vec<Vec<(NodeId, u64)>> = vec![Vec::new(); n];
     let mut best_out: Vec<u64> = vec![0; n];
     for (id, node) in graph.nodes().iter().enumerate() {
         kind_of.push(node.op.tile_kind() as usize);
-        pending[id] = u32::try_from(node.inputs.len()).expect("input count fits in u32");
+        pending[id] = node.inputs.len();
         for p in &node.inputs {
             let bytes = profile.map_or(0, |pr| pr.edge_bytes(p.node, p.port));
             consumers[p.node].push((id, bytes));
@@ -336,21 +345,23 @@ pub(crate) fn list_schedule(
 }
 
 /// A thread-safe memo of schedules keyed by *query tag × scheduler ×
-/// tile mix* (see [`BoundedCache`]).
+/// demand-clamped tile mix* (see [`BoundedCache`]).
 ///
 /// A schedule depends only on the query graph, the scheduling
-/// algorithm, the tile mix, and the volume profile. For a prepared
-/// workload the graph and profile are fixed per query, so bandwidth
-/// sweeps (which vary only NoC/memory caps) and buffer/link ablations
-/// re-derive identical schedules hundreds of times. Callers assign each
-/// distinct (graph, profile) pair a stable `tag` and the cache returns
-/// the memoized [`Schedule`] on every revisit, leaving only the fluid
-/// timing layer to re-run.
+/// algorithm, the tile mix, and the volume profile — and on the mix
+/// only up to each kind's node demand ([`QueryGraph::clamp_mix`]).
+/// For a prepared workload the graph and profile are fixed per query,
+/// so bandwidth sweeps (which vary only NoC/memory caps) re-derive
+/// identical schedules hundreds of times, and a tile-mix sweep's mixes
+/// collapse onto the few clamps each query can tell apart. Callers
+/// assign each distinct (graph, profile) pair a stable `tag` and the
+/// cache returns the memoized [`Schedule`] on every revisit.
 pub type ScheduleCache = BoundedCache<(u64, SchedulerKind, TileMix), Arc<Schedule>>;
 
 impl ScheduleCache {
-    /// Returns the memoized schedule for `(tag, kind, mix)`, running
-    /// the scheduler on a miss.
+    /// Returns the memoized schedule for `(tag, kind, graph.clamp_mix(mix))`,
+    /// running the scheduler on the clamped mix on a miss — the same
+    /// schedule `mix` itself would give, and legal on `mix`.
     ///
     /// `tag` must uniquely identify the (graph, profile) pair among all
     /// users of this cache; [`Schedule::validate`] still guards every
@@ -368,8 +379,9 @@ impl ScheduleCache {
         mix: &TileMix,
         profile: &GraphProfile,
     ) -> Result<Arc<Schedule>> {
-        self.get_or_insert_with((tag, kind, *mix), || {
-            schedule(kind, graph, mix, profile).map(Arc::new)
+        let mix = graph.clamp_mix(mix);
+        self.get_or_insert_with((tag, kind, mix), || {
+            schedule(kind, graph, &mix, profile).map(Arc::new)
         })
     }
 }
@@ -479,11 +491,12 @@ mod tests {
     }
 
     #[test]
-    fn schedule_cache_key_includes_full_tile_mix() {
+    fn schedule_cache_keys_on_the_demand_clamped_mix() {
         // Regression test for the resilience layer: rescheduling a query
         // on a *degraded* mix (same tag, same scheduler) must never be
-        // answered with the full-mix schedule. The cache key carries the
-        // entire TileMix, so a one-tile delta is a distinct entry.
+        // answered with the full-mix schedule. A kill that takes a kind
+        // below the graph's demand changes the clamped key, so it is a
+        // distinct entry; surplus capacity beyond the demand is not.
         let g = chain_graph();
         let profile = GraphProfile { nodes: vec![Default::default(); g.len()] };
         let cache = ScheduleCache::new();
@@ -504,5 +517,13 @@ mod tests {
         // ...while the full-mix schedule packs both ColFilters into one
         // stage and would be illegal on the degraded machine.
         assert!(s_full.validate(&g, &degraded).is_err());
+
+        // Extra tiles of any kind (used or not) clamp back onto the
+        // full mix's key and reuse its schedule.
+        let roomy = TileMix::uniform(9);
+        let s_roomy =
+            cache.get_or_schedule(3, SchedulerKind::DataAware, &g, &roomy, &profile).unwrap();
+        assert!(std::sync::Arc::ptr_eq(&s_full, &s_roomy));
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 2 });
     }
 }

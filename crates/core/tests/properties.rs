@@ -311,6 +311,46 @@ fn schedulers_never_panic_on_random_graphs_and_mixes() {
     });
 }
 
+/// Capacity beyond a graph's per-kind node demand is invisible to every
+/// scheduler: on random executable graphs (with their real volume
+/// profiles) and random mixes, scheduling on the demand-clamped mix
+/// ([`QueryGraph::clamp_mix`]) gives exactly the full-mix schedule — or
+/// fails exactly when it fails. The schedule and plan caches key on
+/// that clamp.
+#[test]
+fn clamped_mix_schedules_equal_full_mix_schedules() {
+    let mut clamped_cases = 0u64;
+    for_each_case(|rng| {
+        let g = random_graph(rng);
+        let values = rng.gen_vec(1..500, |r| r.gen_range(-100i64..100));
+        let Ok(run) = execute(&g, &catalog_of(&values)) else { return };
+        let mut mix = TileMix::uniform(0);
+        for kind in TileKind::ALL {
+            mix = mix.with_count(kind, rng.gen_range(0u32..6));
+        }
+        let clamped = g.clamp_mix(&mix);
+        if clamped != mix {
+            clamped_cases += 1;
+        }
+        for kind in [SchedulerKind::Naive, SchedulerKind::DataAware, SchedulerKind::SemiExhaustive]
+        {
+            match (
+                schedule(kind, &g, &mix, &run.profile),
+                schedule(kind, &g, &clamped, &run.profile),
+            ) {
+                (Ok(full), Ok(clamp)) => assert_eq!(full, clamp, "{kind:?}: {mix} vs {clamped}"),
+                (Err(_), Err(_)) => {}
+                (full, clamp) => panic!(
+                    "{kind:?}: full mix {:?} but clamped mix {:?}",
+                    full.map(|s| s.stages()),
+                    clamp.map(|s| s.stages())
+                ),
+            }
+        }
+    });
+    assert!(clamped_cases >= CASES / 4, "only {clamped_cases} cases had surplus to clamp");
+}
+
 /// Tighter bandwidth caps never make a query faster (fluid-model
 /// monotonicity).
 #[test]

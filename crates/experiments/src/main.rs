@@ -224,21 +224,23 @@ fn main() -> ExitCode {
 
     eprintln!("preparing workload at SF {scale} ({} sweep workers) ...", pool::jobs());
     let workload = Workload::prepare(scale);
-    // Per-figure schedule-cache and quantum-jump summary: print, then
-    // reset (caches) or snapshot (jump counters) so the next figure's
-    // lines cover only its own sweep. The counts are deterministic at
-    // any --jobs setting (see `CacheStats` and `JumpStats`).
+    // Per-figure cache and quantum-jump summary: print, then reset
+    // (caches) or snapshot (jump counters) so the next figure's lines
+    // cover only its own sweep. The counts are deterministic at any
+    // --jobs setting (see `CacheStats` and `JumpStats`).
     let mut jump_mark = q100_experiments::JumpStats::default();
     let mut cache_line = |label: &str| {
         let sched = workload.sched_cache_stats();
         let plan = workload.plan_cache_stats();
+        let memo = workload.timing_memo_stats();
         // Suppress the lines when nothing consulted the shared caches
         // (e.g. a study that prepares its own scaled workload) —
         // `0 hits / 0 misses` would only be noise. Counters still reset
         // so the next figure's lines stay per-figure.
-        if sched.hits + sched.misses + plan.hits + plan.misses > 0 {
+        if [sched, plan, memo].iter().any(|s| s.hits + s.misses > 0) {
             println!("{label} schedule cache: {sched}");
             println!("{label} plan cache: {plan}");
+            println!("{label} timing memo: {memo}");
         }
         workload.reset_sched_cache_stats();
         let now = workload.jump_stats();

@@ -1,14 +1,16 @@
 //! Shared machinery: execute every query functionally once, then sweep
 //! Q100 configurations over the cached profiles — in parallel, with
-//! schedules memoized across configurations.
+//! schedules, compiled plans and whole timing results memoized across
+//! configurations.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
 use q100_core::trace::{Registry, RingRecorder, TraceStream};
 use q100_core::{
-    BlameRecorder, CacheStats, FunctionalRun, Observe, PlanCache, QueryGraph, ScheduleCache,
-    SimConfig, SimOutcome, SimScratch, Simulator, StagePlan,
+    simulate_plan, BlameRecorder, BoundedCache, CacheStats, FunctionalRun, Observe, PlanCache,
+    QueryGraph, Schedule, ScheduleCache, SimConfig, SimOutcome, SimScratch, Simulator, StagePlan,
+    TileKind, TimingResult,
 };
 use q100_tpch::queries::{self, TpchQuery};
 use q100_tpch::TpchData;
@@ -88,10 +90,50 @@ impl JumpStats {
     }
 }
 
+/// The identity of one whole timing run: the query tag, the schedule's
+/// contents, and everything of the [`SimConfig`] the timing kernel
+/// reads besides the mix — bandwidth caps, stream buffers, p2p links
+/// and derate, with `f64`s as bit patterns (as
+/// [`q100_core::CostKey`] stores them) so the key is `Eq + Hash`. The
+/// plan is a function of the tag and the schedule, so equal keys time
+/// bit-identically.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct TimingKey {
+    tag: u64,
+    schedule: Arc<Schedule>,
+    caps: [Option<u64>; 3],
+    buffers: (u32, u32),
+    p2p_links: Vec<(TileKind, TileKind)>,
+    /// Tile factors, NoC/read/write factors, and per-stage stalls.
+    derate: Option<([u64; TileKind::COUNT], [u64; 3], Vec<u64>)>,
+}
+
+impl TimingKey {
+    fn new(tag: u64, schedule: &Arc<Schedule>, config: &SimConfig) -> Self {
+        let bw = &config.bandwidth;
+        TimingKey {
+            tag,
+            schedule: Arc::clone(schedule),
+            caps: [bw.noc_gbps, bw.mem_read_gbps, bw.mem_write_gbps].map(|c| c.map(f64::to_bits)),
+            buffers: (config.read_buffers, config.write_buffers),
+            p2p_links: config.p2p_links.clone(),
+            derate: config.derate.as_ref().map(|d| {
+                (
+                    d.tile_factor.map(f64::to_bits),
+                    [d.noc_factor, d.mem_read_factor, d.mem_write_factor].map(f64::to_bits),
+                    d.tinst_stall_cycles.clone(),
+                )
+            }),
+        }
+    }
+}
+
 /// A workload: a generated database plus every query prepared against
 /// it. Functional execution happens exactly once; configuration sweeps
-/// reuse the cached profiles, fan out across cores, and memoize
-/// schedules per (query, scheduler, tile mix).
+/// reuse the cached profiles and fan out across cores. Three memos make
+/// each distinct thing simulate once: schedules and compiled plans per
+/// (query, scheduler, demand-clamped tile mix), and whole timing
+/// results per (query, schedule, timing-relevant config).
 pub struct Workload {
     /// The database.
     pub db: TpchData,
@@ -99,6 +141,7 @@ pub struct Workload {
     pub queries: Vec<PreparedQuery>,
     sched_cache: ScheduleCache,
     plan_cache: PlanCache,
+    timing_memo: BoundedCache<TimingKey, Arc<TimingResult>>,
     metrics: Arc<Registry>,
 }
 
@@ -138,7 +181,8 @@ impl Workload {
         let metrics = Arc::new(Registry::new());
         let sched_cache = ScheduleCache::with_metrics(Arc::clone(&metrics), "sched.cache.lookups");
         let plan_cache = PlanCache::with_metrics(Arc::clone(&metrics), "plan.cache.lookups");
-        Workload { db, queries, sched_cache, plan_cache, metrics }
+        let timing_memo = BoundedCache::with_metrics(Arc::clone(&metrics), "timing.memo.lookups");
+        Workload { db, queries, sched_cache, plan_cache, timing_memo, metrics }
     }
 
     /// The workload's metrics registry: every sweep, schedule-cache
@@ -151,7 +195,7 @@ impl Workload {
 
     /// Resolves the compiled [`StagePlan`] for `(prepared, config)`,
     /// scheduling and compiling on the first sight of this (query,
-    /// scheduler, mix) key.
+    /// scheduler, clamped mix) key.
     ///
     /// # Panics
     ///
@@ -173,8 +217,10 @@ impl Workload {
 
     /// Simulates one prepared query under `config`, reusing a memoized
     /// compiled plan (and its schedule) when this (query, scheduler,
-    /// mix) was seen before — bandwidth sweeps then only re-run the
-    /// fluid timing layer, against this worker's reused scratch.
+    /// clamped mix) was seen before, and a memoized timing result when
+    /// this (query, schedule, timing-relevant config) was — otherwise
+    /// the fluid timing layer runs against this worker's reused
+    /// scratch.
     ///
     /// # Panics
     ///
@@ -235,8 +281,10 @@ impl Workload {
     }
 
     /// The one body behind [`simulate`](Self::simulate), [`simulate_traced`](Self::simulate_traced) and
-    /// [`simulate_blamed`]: memoized plan, this worker's scratch, jump
-    /// statistics, and the `sim.runs` / `sim.cycles` metrics.
+    /// [`simulate_blamed`]: memoized plan, timing from the memo or from
+    /// this worker's scratch, and the `sim.runs` / `sim.cycles` metrics.
+    /// Runs with a trace sink or a blame recorder need their ledger, so
+    /// they always reach the kernel and never touch the timing memo.
     fn simulate_observed(
         &self,
         prepared: &PreparedQuery,
@@ -244,23 +292,60 @@ impl Workload {
         obs: Observe<'_>,
     ) -> SimOutcome {
         let plan = self.plan(prepared, config);
-        let outcome = SCRATCH
-            .with(|s| {
-                let mut s = s.borrow_mut();
-                let r = Simulator::new(config).run_observed(
-                    &plan,
-                    &prepared.functional,
-                    &prepared.graph,
-                    &mut s,
-                    obs,
-                );
-                self.record_jump_stats(&s);
-                r
-            })
-            .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", prepared.query.name));
+        let timing = if obs.sink.is_none() && obs.blame.is_none() {
+            self.memoized_timing(prepared, &plan, config)
+        } else {
+            self.run_kernel(&plan, config, obs)
+        }
+        .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", prepared.query.name));
+        let outcome =
+            Simulator::new(config).outcome(&plan, &prepared.functional, &prepared.graph, timing);
         self.metrics.inc("sim.runs", 1);
         self.metrics.observe("sim.cycles", outcome.cycles as f64);
         outcome
+    }
+
+    /// The timing of `plan` under `config` from the timing memo, run
+    /// through the kernel on the first sight of its key. Debug builds
+    /// re-simulate every hit and assert the whole result is unchanged.
+    fn memoized_timing(
+        &self,
+        prepared: &PreparedQuery,
+        plan: &StagePlan,
+        config: &SimConfig,
+    ) -> q100_core::Result<TimingResult> {
+        let key = TimingKey::new(prepared.index as u64, plan.schedule(), config);
+        let mut ran = false;
+        let timing = self.timing_memo.get_or_insert_with(key, || {
+            ran = true;
+            self.run_kernel(plan, config, Observe::default()).map(Arc::new)
+        })?;
+        if cfg!(debug_assertions) && !ran {
+            let fresh = simulate_plan(plan, config, &mut SimScratch::new(), Observe::default());
+            debug_assert_eq!(
+                fresh.as_ref().ok(),
+                Some(timing.as_ref()),
+                "{}: a timing memo hit differs from a fresh simulation",
+                prepared.query.name
+            );
+        }
+        Ok(TimingResult::clone(&timing))
+    }
+
+    /// One timing-kernel run on this worker's scratch, folding its
+    /// quantum-jump counters into the registry.
+    fn run_kernel(
+        &self,
+        plan: &StagePlan,
+        config: &SimConfig,
+        obs: Observe<'_>,
+    ) -> q100_core::Result<TimingResult> {
+        SCRATCH.with(|s| {
+            let mut s = s.borrow_mut();
+            let timing = simulate_plan(plan, config, &mut s, obs);
+            self.record_jump_stats(&s);
+            timing
+        })
     }
 
     /// Traces every query of the workload under `config`, serially (one
@@ -272,8 +357,9 @@ impl Workload {
 
     /// Simulates one prepared query under `base` with `scenario`'s
     /// faults injected — killed tiles reschedule on the degraded mix
-    /// (through the shared schedule cache, which keys on the full mix),
-    /// deratings slow the fluid timing layer.
+    /// (through the shared plan and schedule caches, which key on the
+    /// demand-clamped mix), deratings slow the fluid timing layer. The
+    /// timing memo is not consulted.
     ///
     /// # Errors
     ///
@@ -302,8 +388,9 @@ impl Workload {
         Ok(out)
     }
 
-    /// Simulates one prepared query bypassing the schedule cache
-    /// (schedules from scratch). Used to validate cache transparency.
+    /// Simulates one prepared query bypassing every cache (schedules,
+    /// compiles and times from scratch). Used to validate cache
+    /// transparency.
     ///
     /// # Panics
     ///
@@ -364,8 +451,9 @@ impl Workload {
     }
 
     /// Folds one finished simulation's quantum-jump counters into the
-    /// metrics registry. Counter addition commutes, so the accumulated
-    /// totals are identical at any `--jobs`.
+    /// metrics registry. Counter addition commutes, and each timing-memo
+    /// key runs the kernel once however many workers race for it, so
+    /// the accumulated totals are identical at any `--jobs`.
     fn record_jump_stats(&self, s: &SimScratch) {
         self.metrics.inc("sim.jumps", s.jumps);
         self.metrics.inc("sim.jumped_quanta", s.jumped_quanta);
@@ -376,7 +464,8 @@ impl Workload {
 
     /// Quantum-jump totals accumulated by every simulation this
     /// workload has run (including resilient runs, which report through
-    /// the shared registry).
+    /// the shared registry). Timing-memo hits run no simulation and add
+    /// nothing.
     #[must_use]
     pub fn jump_stats(&self) -> JumpStats {
         JumpStats {
@@ -398,26 +487,35 @@ impl Workload {
     }
 
     /// Plan-cache hit/miss counters accumulated by this workload — one
-    /// lookup per simulation, so these match what the schedule cache
-    /// reported before plans existed.
+    /// lookup per simulation.
     #[must_use]
     pub fn plan_cache_stats(&self) -> CacheStats {
         self.plan_cache.stats()
     }
 
-    /// Drops memoized schedules and compiled plans, and zeroes both
-    /// caches' counters.
+    /// Timing-memo hit/miss counters accumulated by this workload — one
+    /// lookup per untraced, unblamed [`simulate`](Self::simulate); the
+    /// misses are the timing-kernel runs.
+    #[must_use]
+    pub fn timing_memo_stats(&self) -> CacheStats {
+        self.timing_memo.stats()
+    }
+
+    /// Drops memoized schedules, compiled plans and timing results, and
+    /// zeroes the three caches' counters, so the next sweep starts cold.
     pub fn clear_sched_cache(&self) {
         self.sched_cache.clear();
         self.plan_cache.clear();
+        self.timing_memo.clear();
     }
 
-    /// Zeroes both caches' hit/miss counters while keeping the memoized
-    /// schedules and plans, so each figure's stdout lines report their
-    /// own sweep.
+    /// Zeroes the three caches' hit/miss counters while keeping every
+    /// memoized value, so each figure's stdout lines report their own
+    /// sweep.
     pub fn reset_sched_cache_stats(&self) {
         self.sched_cache.reset_stats();
         self.plan_cache.reset_stats();
+        self.timing_memo.reset_stats();
     }
 
     /// The query names in workload order.
@@ -463,6 +561,37 @@ mod tests {
         assert_eq!((plan_stats.hits, plan_stats.misses), (1, 1));
         let sched_stats = w.sched_cache_stats();
         assert_eq!((sched_stats.hits, sched_stats.misses), (0, 1));
+        // ...and its whole timing result: one kernel run in all.
+        let memo_stats = w.timing_memo_stats();
+        assert_eq!((memo_stats.hits, memo_stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn observed_runs_bypass_the_timing_memo_and_clearing_starts_cold() {
+        let w = Workload::prepare_subset(0.002, &["q6"]);
+        let p = &w.queries[0];
+        let config = SimConfig::pareto();
+        let plain = w.simulate(p, &config);
+        let after_plain = w.jump_stats();
+        let (traced, _) = w.simulate_traced(p, &config);
+        let (blamed, _) = w.simulate_blamed(p, &config);
+        assert_eq!(traced.timing, plain.timing);
+        assert_eq!(blamed.timing, plain.timing);
+        let memo = w.timing_memo_stats();
+        assert_eq!((memo.hits, memo.misses), (0, 1), "observed runs never consult the memo");
+        assert!(
+            w.jump_stats().stepped_quanta > after_plain.stepped_quanta,
+            "observed runs reach the kernel"
+        );
+
+        let before = w.jump_stats();
+        let _ = w.simulate(p, &config);
+        assert_eq!(w.jump_stats(), before, "a memo hit runs no simulation");
+        w.clear_sched_cache();
+        assert_eq!(w.timing_memo_stats(), CacheStats::default());
+        let again = w.simulate(p, &config);
+        assert_eq!(again.timing, plain.timing);
+        assert_eq!(w.timing_memo_stats().misses, 1, "a cleared memo starts cold");
     }
 
     #[test]

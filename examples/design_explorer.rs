@@ -37,12 +37,15 @@ fn main() {
     );
 
     // The workload's metrics registry counted the exploration as it
-    // ran: simulated cycles, pool batches, and schedule-cache traffic.
+    // ran: simulated cycles, pool batches, and cache traffic. Mixes
+    // that differ only beyond a query's tile demand share one schedule,
+    // and equal schedules share one timing run.
     let m = workload.metrics();
     println!(
-        "\nexploration accounting: {} simulations over {} pool batches",
+        "\nexploration accounting: {} (config, query) points over {} pool batches",
         m.counter("sim.runs"),
         m.counter("pool.batches"),
     );
     println!("schedule cache: {}", workload.sched_cache_stats());
+    println!("timing memo: {}", workload.timing_memo_stats());
 }

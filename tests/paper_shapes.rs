@@ -6,8 +6,9 @@
 use q100::core::trace::RingRecorder;
 use q100::core::{
     power, Bandwidth, BlameRecorder, DesignBudget, Observe, SimConfig, SimScratch, Simulator,
+    TileMix,
 };
-use q100::experiments::{comm, dse, sched_study, software_cmp, Workload};
+use q100::experiments::{comm, dse, pool, sched_study, software_cmp, Workload};
 
 fn workload() -> Workload {
     Workload::prepare(0.01)
@@ -229,5 +230,43 @@ fn every_simulation_entry_agrees_on_pareto() {
             counters(&fresh),
             "{name}: a blame recorder must not change the solver's decisions"
         );
+    }
+}
+
+#[test]
+fn clamped_mixes_share_plans_and_timing_runs_exactly() {
+    // Mixes that differ only beyond what q1, q6 and q14 can use clamp
+    // onto few plan keys, and equal schedules share one timing run. The
+    // memoized sweep must match from-scratch simulation in the whole
+    // timing result, and every cache counter must be the same at any
+    // worker count (single-flight caches run each fresh key once).
+    let configs: Vec<SimConfig> =
+        [(1, 1, 1), (1, 1, 6), (1, 3, 6), (2, 2, 2), (5, 1, 1), (5, 3, 6)]
+            .into_iter()
+            .map(|(alus, parts, sorts)| SimConfig::new(TileMix::with_swept(alus, parts, sorts)))
+            .collect();
+    let run = |jobs: usize| {
+        pool::set_jobs(Some(jobs));
+        let w = Workload::prepare_subset(0.002, &["q1", "q6", "q14"]);
+        let swept = w.sweep(&configs);
+        pool::set_jobs(None);
+        let counters = [w.sched_cache_stats(), w.plan_cache_stats(), w.timing_memo_stats()];
+        (w, swept, counters)
+    };
+    let (w, swept, serial) = run(1);
+    let (_, swept_jobs, parallel) = run(4);
+    assert_eq!(serial, parallel, "schedule, plan and memo counters must not depend on --jobs");
+    let [sched, plan, memo] = serial;
+    assert!(plan.hits > 0, "surplus tiles must clamp onto shared plans: {plan}");
+    assert_eq!(sched.misses, plan.misses, "one schedule per plan key: {sched} vs {plan}");
+    assert!(memo.hits > 0, "equal schedules must share a timing run: {memo}");
+    assert!(memo.misses <= plan.misses, "no more timing runs than plans: {memo} vs {plan}");
+    for ((config, outcomes), outcomes_jobs) in configs.iter().zip(&swept).zip(&swept_jobs) {
+        for ((p, memoized), memoized_jobs) in w.queries.iter().zip(outcomes).zip(outcomes_jobs) {
+            let fresh = w.simulate_uncached(p, config);
+            assert_eq!(memoized.timing, fresh.timing, "{} under {}", p.query.name, config.mix);
+            assert_eq!(memoized_jobs.timing, fresh.timing, "{} at 4 jobs", p.query.name);
+            assert_eq!(memoized.energy_mj().to_bits(), fresh.energy_mj().to_bits());
+        }
     }
 }
