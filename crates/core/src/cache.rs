@@ -1,10 +1,9 @@
 //! The bounded, thread-safe memo behind every cache in the simulator.
 //!
-//! [`ScheduleCache`](crate::ScheduleCache), [`PlanCache`](crate::PlanCache),
-//! [`ServiceCostCache`](crate::ServiceCostCache) and the experiments
-//! workload's timing memo are instances of [`BoundedCache`]: each value
-//! is a pure function of its key, so the cache only ever trades memory
-//! for recomputation, never results.
+//! [`PlanCache`](crate::PlanCache), [`ServiceCostCache`](crate::ServiceCostCache)
+//! and the experiments workload's timing memo are instances of
+//! [`BoundedCache`]: each value is a pure function of its key, so the
+//! cache only ever trades memory for recomputation, never results.
 //!
 //! * **Single flight.** [`BoundedCache::get_or_insert_with`] computes a
 //!   fresh key exactly once, outside the map lock: late arrivals for a
@@ -15,7 +14,8 @@
 //! * **Split lookup.** [`BoundedCache::get`] and [`BoundedCache::insert`]
 //!   serve callers that batch their misses (the two-phase serve engine
 //!   looks up each deduplicated key once, simulates the misses on a
-//!   worker pool, then inserts).
+//!   worker pool, then inserts); [`BoundedCache::peek`] re-reads a
+//!   resident value without counting a lookup.
 //! * **Bounded.** Inserting a fresh key at capacity evicts one arbitrary
 //!   resident entry and bumps the eviction counter (and the
 //!   `cache.evictions` registry metric).
@@ -43,9 +43,10 @@ use q100_trace::Registry;
 /// is inserted once however many workers race for it, so these numbers
 /// are identical for any `--jobs` count — a property the experiments
 /// binary's stdout determinism check relies on. (Eviction victims are
-/// arbitrary, which stays invisible here as long as evicted keys are not
-/// looked up again; the serving path upholds that by memoizing compiled
-/// plans in each query's classifier.)
+/// arbitrary, and an evicted key looked up again recomputes as a fresh
+/// miss, so the counters are job-independent only while the cache never
+/// evicts. The serving devices uphold that by bounding their plan cache
+/// at the cost cache's bound, which it cannot reach first.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -199,6 +200,14 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
     #[must_use]
     pub fn get(&self, key: &K) -> Option<V> {
         self.note_lookup();
+        self.peek(key)
+    }
+
+    /// The resident value of `key` without counting a lookup, for
+    /// callers re-reading a value that an earlier, counted lookup
+    /// already resolved. A key still being computed reads as absent.
+    #[must_use]
+    pub fn peek(&self, key: &K) -> Option<V> {
         match self.lock().map.get(key) {
             Some(Slot::Ready(v)) => Some(v.clone()),
             _ => None,
@@ -369,12 +378,12 @@ mod tests {
     #[test]
     fn reset_stats_keeps_entries() {
         let registry = Arc::new(Registry::new());
-        let cache = Cache::with_metrics(Arc::clone(&registry), "sched.cache.lookups");
+        let cache = Cache::with_metrics(Arc::clone(&registry), "plan.cache.lookups");
         let computed = Cell::new(0);
         fetch(&cache, 1, &computed);
         fetch(&cache, 1, &computed);
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-        assert_eq!(registry.counter("sched.cache.lookups"), 2);
+        assert_eq!(registry.counter("plan.cache.lookups"), 2);
 
         cache.reset_stats();
         assert_eq!(cache.stats(), CacheStats::default());
@@ -428,6 +437,36 @@ mod tests {
     }
 
     #[test]
+    fn racing_callers_compute_a_fresh_key_once() {
+        use std::sync::atomic::AtomicU32;
+        use std::sync::Barrier;
+
+        let cache = Cache::new();
+        let computed = AtomicU32::new(0);
+        let n = 8;
+        let start = Barrier::new(n);
+        std::thread::scope(|s| {
+            for _ in 0..n {
+                s.spawn(|| {
+                    start.wait();
+                    let v = cache
+                        .get_or_insert_with(7, || {
+                            computed.fetch_add(1, Ordering::Relaxed);
+                            // Hold the slot pending long enough that the
+                            // other callers arrive while it computes.
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            Ok::<_, ()>(Arc::new(70))
+                        })
+                        .unwrap();
+                    assert_eq!(*v, 70);
+                });
+            }
+        });
+        assert_eq!(computed.load(Ordering::Relaxed), 1, "late arrivals wait, never recompute");
+        assert_eq!(cache.stats(), CacheStats { hits: n as u64 - 1, misses: 1 });
+    }
+
+    #[test]
     fn failures_are_neither_cached_nor_counted() {
         let cache = Cache::new();
         assert_eq!(cache.get_or_insert_with(3, || Err("unschedulable")), Err("unschedulable"));
@@ -473,6 +512,10 @@ mod tests {
         cache.insert((0, 1), 99);
         assert_eq!(cache.get(&(0, 1)), Some(10));
         assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 1 });
+        // A peek reads the resident value without counting a lookup.
+        assert_eq!(cache.peek(&(0, 1)), Some(10));
+        assert_eq!(cache.peek(&(0, 2)), None);
         assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 1 });
     }
 }

@@ -394,39 +394,45 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_single_flight_keeps_sched_call_count_deterministic() {
+    fn plan_cache_single_flight_schedules_each_key_once() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Barrier;
+
         use crate::config::SchedulerKind;
-        use crate::sched::{CacheStats, ScheduleCache};
+        use crate::sched::CacheStats;
 
         let (g, cat) = fixture();
         let functional = functional::execute(&g, &cat).unwrap();
-        let sched_cache = ScheduleCache::new();
         let plans = PlanCache::new();
+        let mix = TileMix::uniform(1);
+        let kind = SchedulerKind::DataAware;
+        // The body `get_or_compile` runs on a miss, with a run counter.
+        let runs = AtomicU32::new(0);
         let n = 8;
+        let start = Barrier::new(n);
         std::thread::scope(|s| {
             for _ in 0..n {
                 s.spawn(|| {
+                    start.wait();
                     plans
-                        .get_or_compile(
-                            0,
-                            SchedulerKind::DataAware,
-                            &g,
-                            &TileMix::uniform(1),
-                            &functional.profile,
-                            &sched_cache,
-                        )
+                        .get_or_insert_with((0, kind, g.clamp_mix(&mix)), || {
+                            runs.fetch_add(1, Ordering::Relaxed);
+                            let schedule = sched::schedule(kind, &g, &mix, &functional.profile)?;
+                            StagePlan::compile(&g, Arc::new(schedule), &functional.profile)
+                                .map(Arc::new)
+                        })
                         .unwrap();
                 });
             }
         });
-        assert_eq!(plans.stats(), CacheStats { hits: n - 1, misses: 1 });
-        // The schedule cache was consulted exactly once no matter how
-        // the threads interleaved: late arrivals for an in-flight key
-        // wait for its compile instead of re-issuing it. (Before
-        // single-flight, a racing pair issued two schedule lookups and
-        // the per-figure `schedule cache:` stdout line became
-        // timing-dependent.)
-        assert_eq!(sched_cache.stats(), CacheStats { hits: 0, misses: 1 });
+        // However the threads interleaved, late arrivals for an
+        // in-flight key waited for its compile instead of scheduling it
+        // again.
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
+        assert_eq!(plans.stats(), CacheStats { hits: n as u64 - 1, misses: 1 });
+        // `get_or_compile` keys the same way, so it finds that plan.
+        plans.get_or_compile(0, kind, &g, &mix, &functional.profile).unwrap();
+        assert_eq!(plans.stats(), CacheStats { hits: n as u64, misses: 1 });
     }
 
     #[test]

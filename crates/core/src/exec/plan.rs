@@ -27,7 +27,7 @@ use crate::error::{CoreError, Result};
 use crate::exec::functional::GraphProfile;
 use crate::exec::timing::{consume_mode, ConnMatrix, ConsumeMode, MEMORY_ENDPOINT};
 use crate::isa::graph::{NodeId, PortRef, QueryGraph, SpatialOp};
-use crate::sched::{Schedule, ScheduleCache};
+use crate::sched::{self, Schedule};
 use crate::tiles::TileKind;
 
 /// Where an input stream comes from.
@@ -124,6 +124,9 @@ pub struct StagePlan {
     pub(crate) max_streams: usize,
     /// Max node count over stages.
     pub(crate) max_nodes: usize,
+    /// `(noc_w_max, read_w_max, write_w_max)`, see
+    /// [`StagePlan::cap_thresholds`].
+    pub(crate) cap_thresholds: (f64, f64, f64),
 }
 
 impl StagePlan {
@@ -156,6 +159,7 @@ impl StagePlan {
         let mut connections = ConnMatrix::zero();
         let mut max_streams = 0usize;
         let mut max_nodes = 0usize;
+        let (mut noc_w, mut read_w, mut write_w) = (0.0_f64, 0.0_f64, 0.0_f64);
 
         for tinst in &schedule.tinsts {
             let Some(&first) = tinst.nodes.first() else {
@@ -294,18 +298,23 @@ impl StagePlan {
                 pos[id] = usize::MAX;
             }
 
-            // Connection census, memory volumes, and the quantum — all
-            // config-independent.
+            // Connection census, memory volumes, cap thresholds and the
+            // quantum — all config-independent.
             let mut fill = 0.0_f64;
             let mut spill = 0.0_f64;
             let mut max_records = 0.0_f64;
+            let (mut stage_read, mut stage_write) = (0.0_f64, 0.0_f64);
             for node in &nodes {
                 let dst = node.kind as usize;
                 for input in &node.inputs {
                     let src = match input.source {
-                        PlanSource::InStage { src_kind, .. } => src_kind as usize,
+                        PlanSource::InStage { src_kind, .. } => {
+                            noc_w = noc_w.max(input.width);
+                            src_kind as usize
+                        }
                         PlanSource::Memory => {
                             fill += input.records * input.width;
+                            stage_read += input.width;
                             MEMORY_ENDPOINT
                         }
                     };
@@ -313,13 +322,19 @@ impl StagePlan {
                     max_records = max_records.max(input.records);
                 }
                 for output in &node.outputs {
+                    if !output.consumers.is_empty() {
+                        noc_w = noc_w.max(output.width);
+                    }
                     if output.to_memory {
                         connections.add(dst, MEMORY_ENDPOINT, 1.0);
                         spill += output.records * output.width;
+                        stage_write += output.width;
                     }
                     max_records = max_records.max(output.records);
                 }
             }
+            read_w = read_w.max(stage_read);
+            write_w = write_w.max(stage_write);
             let dt = (max_records / 8192.0).ceil().max(64.0);
             max_streams = max_streams.max(streams);
             max_nodes = max_nodes.max(nodes.len());
@@ -347,6 +362,7 @@ impl StagePlan {
             output_bytes,
             max_streams,
             max_nodes,
+            cap_thresholds: (noc_w, read_w, write_w),
             schedule,
         })
     }
@@ -379,36 +395,11 @@ impl StagePlan {
     ///
     /// Peer-to-peer links are ignored (treated as NoC-capped), which
     /// only ever *raises* the thresholds — sound for callers proving a
-    /// derated cap invisible. Used by scenario canonicalization in
-    /// [`crate::resilience`].
+    /// derated cap invisible. Computed once by [`StagePlan::compile`];
+    /// used by scenario canonicalization in [`crate::resilience`].
     #[must_use]
     pub fn cap_thresholds(&self) -> (f64, f64, f64) {
-        let mut noc_w = 0.0_f64;
-        let mut read_w = 0.0_f64;
-        let mut write_w = 0.0_f64;
-        for stage in &self.stages {
-            let mut stage_read = 0.0_f64;
-            let mut stage_write = 0.0_f64;
-            for node in &stage.nodes {
-                for input in &node.inputs {
-                    match input.source {
-                        PlanSource::InStage { .. } => noc_w = noc_w.max(input.width),
-                        PlanSource::Memory => stage_read += input.width,
-                    }
-                }
-                for output in &node.outputs {
-                    if !output.consumers.is_empty() {
-                        noc_w = noc_w.max(output.width);
-                    }
-                    if output.to_memory {
-                        stage_write += output.width;
-                    }
-                }
-            }
-            read_w = read_w.max(stage_read);
-            write_w = write_w.max(stage_write);
-        }
-        (noc_w, read_w, write_w)
+        self.cap_thresholds
     }
 }
 
@@ -501,31 +492,30 @@ impl SimScratch {
     }
 }
 
-/// A thread-safe memo of compiled plans keyed by *query tag ×
-/// scheduler × demand-clamped tile mix* — the plan-layer twin of
-/// [`ScheduleCache`] (see [`BoundedCache`]).
+/// The memo of schedules and compiled plans, keyed by *query tag ×
+/// scheduler × demand-clamped tile mix* (see [`BoundedCache`]).
 ///
-/// A [`StagePlan`] depends on exactly what its schedule depends on (the
-/// query graph, scheduler, volume profile, and the tile mix up to each
-/// kind's node demand, [`QueryGraph::clamp_mix`]), so the two caches
-/// share key semantics: callers assign each distinct (graph, profile)
-/// pair a stable `tag`. On a miss, [`PlanCache::get_or_compile`] first
-/// resolves the schedule through the supplied [`ScheduleCache`]
-/// (keeping the schedule memo warm for callers that still want bare
-/// schedules) and then compiles the topology once; every later mix
-/// with the same clamp, and every configuration of a bandwidth sweep,
-/// reuses the compiled artifact. Compilation is single-flight, so the
-/// number of calls this cache issues into the backing [`ScheduleCache`]
-/// is exactly one per key regardless of worker timing.
+/// A [`StagePlan`] and the [`Schedule`] it was compiled from depend
+/// only on the query graph, scheduler, volume profile, and the tile mix
+/// up to each kind's node demand ([`QueryGraph::clamp_mix`]); callers
+/// assign each distinct (graph, profile) pair a stable `tag`. On a miss,
+/// [`PlanCache::get_or_compile`] schedules the clamped mix and compiles
+/// the topology once; every later mix with the same clamp, and every
+/// configuration of a bandwidth sweep, reuses the compiled artifact
+/// (and its schedule, [`StagePlan::schedule`]). Compilation is
+/// single-flight, so each key is scheduled exactly once regardless of
+/// worker timing.
 pub type PlanCache = BoundedCache<(u64, SchedulerKind, TileMix), Arc<StagePlan>>;
 
 impl PlanCache {
     /// Returns the memoized plan for `(tag, kind, graph.clamp_mix(mix))`,
-    /// scheduling (via `sched_cache`) and compiling on a miss.
+    /// scheduling the clamped mix and compiling on a miss — the same
+    /// schedule `mix` itself would give, and legal on `mix`.
     ///
     /// `tag` must uniquely identify the (graph, profile) pair among all
-    /// users of this cache, with the same failure mode as
-    /// [`ScheduleCache::get_or_schedule`].
+    /// users of this cache; [`Schedule::validate`] still guards every
+    /// execution downstream, so a tag collision fails loudly rather
+    /// than silently mistiming a query.
     ///
     /// # Errors
     ///
@@ -538,13 +528,11 @@ impl PlanCache {
         graph: &QueryGraph,
         mix: &TileMix,
         profile: &GraphProfile,
-        sched_cache: &ScheduleCache,
     ) -> Result<Arc<StagePlan>> {
         let mix = graph.clamp_mix(mix);
         self.get_or_insert_with((tag, kind, mix), || {
-            sched_cache
-                .get_or_schedule(tag, kind, graph, &mix, profile)
-                .and_then(|schedule| StagePlan::compile(graph, schedule, profile).map(Arc::new))
+            let schedule = sched::schedule(kind, graph, &mix, profile)?;
+            StagePlan::compile(graph, Arc::new(schedule), profile).map(Arc::new)
         })
     }
 }

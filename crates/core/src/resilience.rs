@@ -14,18 +14,15 @@
 //!    degraded one: killed instances leave the [`TileMix`], the
 //!    remaining derates become a [`Derate`] attached to the config.
 //! 3. [`run_resilient`] reschedules the query on the degraded mix
-//!    (through the shared [`PlanCache`] and [`ScheduleCache`], whose
-//!    keys clamp the mix to the query's per-kind demand, so a kill
-//!    below demand always reschedules) and runs the timing simulation
+//!    (through the shared [`PlanCache`], whose keys clamp the mix to
+//!    the query's per-kind demand, so a kill below demand always
+//!    reschedules) and runs the timing simulation
 //!    with the derating factors active in the quantum loop. Infeasible
 //!    degraded mixes surface as [`CoreError::Unschedulable`] — never a
 //!    panic — so sweeps report the failure and keep going.
 //!
 //! An empty scenario applies to *no change at all* (`derate: None`),
 //! so a fault-rate-0 run reproduces baseline cycle counts exactly.
-
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use q100_trace::{Registry, TraceEvent, TraceSink};
 use q100_xrand::Rng;
@@ -38,7 +35,6 @@ use crate::exec::{
     SimScratch, Simulator, StagePlan, MEMORY_ENDPOINT,
 };
 use crate::isa::QueryGraph;
-use crate::sched::ScheduleCache;
 use crate::tiles::TileKind;
 
 /// Maximum temporal-instruction slots considered for transient stalls
@@ -399,8 +395,8 @@ pub struct ResilientOutcome {
 /// Applies `scenario` to `base`, reschedules the query on the degraded
 /// mix through `plans` (whose key is the demand-clamped mix, so a kill
 /// that bites into the query's demand never reuses a stale schedule or
-/// compiled plan; `cache` backs the schedule half of each plan miss),
-/// and runs the timing simulation with the derating factors active.
+/// compiled plan), and runs the timing simulation with the derating
+/// factors active.
 ///
 /// Emits [`TraceEvent::FaultInjected`] per fault and
 /// [`TraceEvent::Reschedule`] when kills changed the mix into `sink`,
@@ -423,7 +419,6 @@ pub fn run_resilient(
     functional: &FunctionalRun,
     base: &SimConfig,
     scenario: &FaultScenario,
-    cache: &ScheduleCache,
     plans: &PlanCache,
     tag: u64,
     mut sink: Option<&mut dyn TraceSink>,
@@ -448,14 +443,8 @@ pub fn run_resilient(
 
     let degraded = scenario.apply(base);
     let rescheduled = degraded.mix != base.mix;
-    let plan = plans.get_or_compile(
-        tag,
-        degraded.scheduler,
-        graph,
-        &degraded.mix,
-        &functional.profile,
-        cache,
-    )?;
+    let plan =
+        plans.get_or_compile(tag, degraded.scheduler, graph, &degraded.mix, &functional.profile)?;
     if rescheduled {
         if let Some(sink) = sink.as_deref_mut() {
             sink.record(TraceEvent::Reschedule {
@@ -508,11 +497,10 @@ pub fn estimate_service_cycles(
     functional: &FunctionalRun,
     base: &SimConfig,
     scenario: &FaultScenario,
-    cache: &ScheduleCache,
     plans: &PlanCache,
     tag: u64,
 ) -> Result<u64> {
-    run_resilient(graph, functional, base, scenario, cache, plans, tag, None, None)
+    run_resilient(graph, functional, base, scenario, plans, tag, None, None)
         .map(|run| run.outcome.cycles)
 }
 
@@ -633,18 +621,6 @@ pub enum ServiceCost {
     Failed,
 }
 
-/// Per-canonical-mix facts the classifier memoizes: the compiled plan
-/// (shared with cost simulation) and the cap-slack thresholds derived
-/// from its topology; `None` marks an unschedulable mix.
-#[derive(Debug, Clone)]
-struct MixMeta {
-    plan: Arc<StagePlan>,
-    stages: usize,
-    noc_w_max: f64,
-    read_w_max: f64,
-    write_w_max: f64,
-}
-
 /// Relative slack margin when proving a derated bandwidth cap
 /// invisible: the cap must clear the worst-case per-cycle demand by
 /// this factor, absorbing the float roundings between the threshold
@@ -675,13 +651,14 @@ const CAP_SLACK_MARGIN: f64 = 1.0 + 1e-9;
 ///    predicates with `used` bounded by the query's per-kind node
 ///    count, so capacity beyond that demand never alters a schedule;
 ///    the canonical mix is `min(base − kills, demand)` per kind
-///    ([`TileMix::clamped_to`], the clamp the schedule and plan caches
-///    key on too), which is 0 for undemanded kinds.
+///    ([`TileMix::clamped_to`], the clamp the plan cache keys on too),
+///    which is 0 for undemanded kinds.
 ///
-/// `classify` is deterministic and thread-safe; the per-mix memo
-/// compiles plans *inside* its lock so the backing [`PlanCache`] sees
-/// exactly one `get_or_compile` per new canonical mix (keeping cache
-/// counters job-count independent).
+/// The classifier holds no state beyond the query's demand and the
+/// design's caps: each `classify` asks the caller's [`PlanCache`] for
+/// the canonical mix's plan, whose stage count and cap thresholds the
+/// class depends on. The cache is single-flight, so its counters stay
+/// independent of the worker count.
 #[derive(Debug)]
 pub struct ScenarioClassifier {
     demand: [usize; TileKind::COUNT],
@@ -689,7 +666,6 @@ pub struct ScenarioClassifier {
     noc_bpc: Option<f64>,
     read_bpc: Option<f64>,
     write_bpc: Option<f64>,
-    meta: Mutex<HashMap<TileMix, Option<MixMeta>>>,
 }
 
 impl ScenarioClassifier {
@@ -704,59 +680,12 @@ impl ScenarioClassifier {
             noc_bpc: base.bandwidth.noc_gbps.map(gbps_to_bytes_per_cycle),
             read_bpc: base.bandwidth.mem_read_gbps.map(gbps_to_bytes_per_cycle),
             write_bpc: base.bandwidth.mem_write_gbps.map(gbps_to_bytes_per_cycle),
-            meta: Mutex::new(HashMap::new()),
         }
     }
 
     /// The canonical mix `scenario`'s kills leave for this query.
     fn canonical_mix(&self, scenario: &FaultScenario) -> TileMix {
         scenario.degraded_mix(&self.base_mix).clamped_to(&self.demand)
-    }
-
-    /// The per-mix memo. Every critical section leaves the map
-    /// consistent, so a guard poisoned by a panicking thread is
-    /// recovered rather than propagated.
-    fn lock_meta(&self) -> MutexGuard<'_, HashMap<TileMix, Option<MixMeta>>> {
-        self.meta.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The memoized per-mix facts, compiling the plan on first sight of
-    /// a canonical mix (`None` = unschedulable, also memoized).
-    #[allow(clippy::too_many_arguments)]
-    fn meta_for(
-        &self,
-        mix: TileMix,
-        graph: &QueryGraph,
-        profile: &GraphProfile,
-        scheduler: SchedulerKind,
-        sched_cache: &ScheduleCache,
-        plans: &PlanCache,
-        tag: u64,
-    ) -> Option<MixMeta> {
-        let mut map = self.lock_meta();
-        if let Some(meta) = map.get(&mix) {
-            return meta.clone();
-        }
-        // Compiled under the lock on purpose: racing classifications of
-        // the same fresh mix would otherwise issue duplicate (and
-        // thread-count-dependent) plan-cache lookups. New canonical
-        // mixes are rare, so the serialization cost is negligible.
-        let meta = plans
-            .get_or_compile(tag, scheduler, graph, &mix, profile, sched_cache)
-            .ok()
-            .map(|plan| {
-                let (noc_w_max, read_w_max, write_w_max) = plan.cap_thresholds();
-                MixMeta { stages: plan.stages(), plan, noc_w_max, read_w_max, write_w_max }
-            });
-        map.insert(mix, meta.clone());
-        meta
-    }
-
-    /// The compiled plan of a previously classified canonical mix
-    /// (`None` when the mix is unschedulable or was never classified).
-    #[must_use]
-    pub fn plan(&self, mix: &TileMix) -> Option<Arc<StagePlan>> {
-        self.lock_meta().get(mix).and_then(|m| m.as_ref().map(|meta| Arc::clone(&meta.plan)))
     }
 
     /// A derated cap factor as the quantum loop would feel it: `1.0`
@@ -771,10 +700,10 @@ impl ScenarioClassifier {
     }
 
     /// Canonicalizes `scenario` into its [`ScenarioClass`] for this
-    /// query. `scheduler`, `sched_cache`, `plans`, and `tag` mirror the
-    /// arguments a fresh [`estimate_service_cycles`] run would use —
-    /// they feed the per-canonical-mix plan memo.
-    #[allow(clippy::too_many_arguments)]
+    /// query. `scheduler`, `plans`, and `tag` mirror the arguments a
+    /// fresh [`estimate_service_cycles`] run would use: the canonical
+    /// mix's plan comes from `plans`, and a scheduling error there
+    /// marks the class infeasible.
     #[must_use]
     pub fn classify(
         &self,
@@ -782,13 +711,11 @@ impl ScenarioClassifier {
         graph: &QueryGraph,
         profile: &GraphProfile,
         scheduler: SchedulerKind,
-        sched_cache: &ScheduleCache,
         plans: &PlanCache,
         tag: u64,
     ) -> ScenarioClass {
         let mix = self.canonical_mix(scenario);
-        let Some(meta) = self.meta_for(mix, graph, profile, scheduler, sched_cache, plans, tag)
-        else {
+        let Ok(plan) = plans.get_or_compile(tag, scheduler, graph, &mix, profile) else {
             // Every scenario whose kills reduce this query to the same
             // infeasible canonical mix collapses into one failed class.
             return ScenarioClass {
@@ -800,6 +727,7 @@ impl ScenarioClassifier {
         let mut key = CostKey::healthy(mix);
         let mut stalls = Vec::new();
         if let Some(d) = scenario.derate() {
+            let (noc_w_max, read_w_max, write_w_max) = plan.cap_thresholds();
             for ((bits, &factor), &demand) in
                 key.tile_bits.iter_mut().zip(&d.tile_factor).zip(&self.demand)
             {
@@ -807,14 +735,12 @@ impl ScenarioClassifier {
                     *bits = factor.to_bits();
                 }
             }
-            key.noc_bits =
-                Self::canonical_factor(self.noc_bpc, d.noc_factor, meta.noc_w_max).to_bits();
+            key.noc_bits = Self::canonical_factor(self.noc_bpc, d.noc_factor, noc_w_max).to_bits();
             key.read_bits =
-                Self::canonical_factor(self.read_bpc, d.mem_read_factor, meta.read_w_max).to_bits();
+                Self::canonical_factor(self.read_bpc, d.mem_read_factor, read_w_max).to_bits();
             key.write_bits =
-                Self::canonical_factor(self.write_bpc, d.mem_write_factor, meta.write_w_max)
-                    .to_bits();
-            stalls.extend(d.tinst_stall_cycles.iter().take(meta.stages));
+                Self::canonical_factor(self.write_bpc, d.mem_write_factor, write_w_max).to_bits();
+            stalls.extend(d.tinst_stall_cycles.iter().take(plan.stages()));
             while stalls.last() == Some(&0) {
                 stalls.pop();
             }
@@ -823,8 +749,8 @@ impl ScenarioClassifier {
     }
 }
 
-/// Simulates the cost of one [`CostKey`] on `plan` (the canonical-mix
-/// plan from [`ScenarioClassifier::plan`]): `base` with the key's mix
+/// Simulates the cost of one [`CostKey`] on `plan` (the [`PlanCache`]'s
+/// plan for the key's canonical mix): `base` with the key's mix
 /// and derate swapped in, run through the planned timing path. Stall
 /// cycles are *not* part of a key — add [`ScenarioClass::stall_extra`]
 /// to the returned cycles.
@@ -865,6 +791,7 @@ mod tests {
     use crate::isa::CmpOp;
     use q100_columnar::{Column, Table, Value};
     use q100_trace::RingRecorder;
+    use std::collections::HashMap;
 
     fn catalog() -> MemoryCatalog {
         let ids: Vec<i64> = (0..4096).collect();
@@ -926,11 +853,9 @@ mod tests {
         let baseline = Simulator::new(&base).run(&g, &cat).unwrap();
 
         let functional = crate::exec::execute(&g, &cat).unwrap();
-        let cache = ScheduleCache::new();
         let plans = PlanCache::new();
         let scenario = FaultScenario::generate(42, 0.0, &base.mix);
-        let run = run_resilient(&g, &functional, &base, &scenario, &cache, &plans, 0, None, None)
-            .unwrap();
+        let run = run_resilient(&g, &functional, &base, &scenario, &plans, 0, None, None).unwrap();
         assert_eq!(run.outcome.cycles, baseline.cycles);
         assert!(!run.rescheduled);
         assert_eq!(run.degraded_mix, base.mix);
@@ -942,7 +867,6 @@ mod tests {
         let g = graph();
         let base = SimConfig::pareto();
         let functional = crate::exec::execute(&g, &cat).unwrap();
-        let cache = ScheduleCache::new();
         let plans = PlanCache::new();
         let baseline = Simulator::new(&base).run_profiled(&g, &functional).unwrap();
 
@@ -960,7 +884,6 @@ mod tests {
             &functional,
             &base,
             &scenario,
-            &cache,
             &plans,
             0,
             Some(&mut rec),
@@ -989,12 +912,11 @@ mod tests {
         // ColFilters to run out.
         let base = SimConfig::new(TileMix::uniform(1));
         let functional = crate::exec::execute(&g, &cat).unwrap();
-        let cache = ScheduleCache::new();
         let plans = PlanCache::new();
         let scenario =
             FaultScenario { faults: vec![Fault::TileKilled { kind: TileKind::ColFilter }] };
-        let err = run_resilient(&g, &functional, &base, &scenario, &cache, &plans, 0, None, None)
-            .unwrap_err();
+        let err =
+            run_resilient(&g, &functional, &base, &scenario, &plans, 0, None, None).unwrap_err();
         assert!(matches!(err, crate::CoreError::Unschedulable { .. }), "got {err}");
     }
 
@@ -1004,20 +926,17 @@ mod tests {
         let g = graph();
         let base = SimConfig::pareto();
         let functional = crate::exec::execute(&g, &cat).unwrap();
-        let cache = ScheduleCache::new();
         let plans = PlanCache::new();
 
         let baseline = Simulator::new(&base).run_profiled(&g, &functional).unwrap();
         let empty = FaultScenario::default();
-        let cycles =
-            estimate_service_cycles(&g, &functional, &base, &empty, &cache, &plans, 0).unwrap();
+        let cycles = estimate_service_cycles(&g, &functional, &base, &empty, &plans, 0).unwrap();
         assert_eq!(cycles, baseline.cycles, "empty scenario must reproduce the baseline");
 
         // A killed required kind surfaces as a typed error, never a panic.
         let tight = SimConfig::new(TileMix::uniform(1));
         let kill = FaultScenario { faults: vec![Fault::TileKilled { kind: TileKind::ColFilter }] };
-        let err =
-            estimate_service_cycles(&g, &functional, &tight, &kill, &cache, &plans, 0).unwrap_err();
+        let err = estimate_service_cycles(&g, &functional, &tight, &kill, &plans, 0).unwrap_err();
         assert!(matches!(err, crate::CoreError::Unschedulable { .. }), "got {err}");
     }
 
@@ -1027,19 +946,17 @@ mod tests {
         let g = graph();
         let base = SimConfig::new(TileMix::uniform(2));
         let functional = crate::exec::execute(&g, &cat).unwrap();
-        let cache = ScheduleCache::new();
         let plans = PlanCache::new();
         // Warm the cache with the healthy mix.
-        cache
-            .get_or_schedule(0, SchedulerKind::DataAware, &g, &base.mix, &functional.profile)
+        plans
+            .get_or_compile(0, SchedulerKind::DataAware, &g, &base.mix, &functional.profile)
             .unwrap();
         let scenario =
             FaultScenario { faults: vec![Fault::TileKilled { kind: TileKind::ColSelect }] };
-        let run = run_resilient(&g, &functional, &base, &scenario, &cache, &plans, 0, None, None)
-            .unwrap();
+        let run = run_resilient(&g, &functional, &base, &scenario, &plans, 0, None, None).unwrap();
         assert!(run.rescheduled);
         assert_eq!(run.degraded_mix.count(TileKind::ColSelect), 1);
-        assert_eq!(cache.len(), 2, "degraded mix must get its own cache entry");
+        assert_eq!(plans.len(), 2, "degraded mix must get its own cache entry");
     }
 
     /// Classifier + caches bundled for the canonicalization tests.
@@ -1047,7 +964,6 @@ mod tests {
         g: crate::isa::QueryGraph,
         functional: FunctionalRun,
         base: SimConfig,
-        cache: ScheduleCache,
         plans: PlanCache,
         classifier: ScenarioClassifier,
     }
@@ -1057,14 +973,7 @@ mod tests {
             let g = graph();
             let functional = crate::exec::execute(&g, &catalog()).unwrap();
             let classifier = ScenarioClassifier::new(&g, &base);
-            Bench {
-                g,
-                functional,
-                base,
-                cache: ScheduleCache::new(),
-                plans: PlanCache::new(),
-                classifier,
-            }
+            Bench { g, functional, base, plans: PlanCache::new(), classifier }
         }
 
         fn classify(&self, scenario: &FaultScenario) -> ScenarioClass {
@@ -1073,11 +982,26 @@ mod tests {
                 &self.g,
                 &self.functional.profile,
                 self.base.scheduler,
-                &self.cache,
                 &self.plans,
                 0,
             )
         }
+    }
+
+    #[test]
+    fn infeasible_classes_leave_no_plan_behind() {
+        // Killing the only ColFilter leaves no mix the query can run on.
+        // The plan cache keeps no failure, so classifying the scenario
+        // again schedules again, fails again, and adds nothing.
+        let b = Bench::new(SimConfig::new(TileMix::uniform(1)));
+        assert!(b.classify(&FaultScenario::default()).feasible);
+        let plans = b.plans.len();
+        let kill = FaultScenario { faults: vec![Fault::TileKilled { kind: TileKind::ColFilter }] };
+        let first = b.classify(&kill);
+        assert!(!first.feasible);
+        assert_eq!(b.plans.len(), plans);
+        assert_eq!(b.classify(&kill), first);
+        assert_eq!(b.plans.len(), plans, "an infeasible mix must not occupy the plan cache");
     }
 
     #[test]
@@ -1172,18 +1096,15 @@ mod tests {
             let b = Bench::new(base);
             for seed in 0..48u64 {
                 let scenario = FaultScenario::generate(seed, 0.35, &b.base.mix);
-                let fresh = estimate_service_cycles(
-                    &b.g,
-                    &b.functional,
-                    &b.base,
-                    &scenario,
-                    &b.cache,
-                    &b.plans,
-                    0,
-                );
+                let fresh =
+                    estimate_service_cycles(&b.g, &b.functional, &b.base, &scenario, &b.plans, 0);
                 let class = b.classify(&scenario);
                 if class.feasible {
-                    let plan = b.classifier.plan(&class.key.mix).expect("feasible class has plan");
+                    let profile = &b.functional.profile;
+                    let plan = b
+                        .plans
+                        .get_or_compile(0, b.base.scheduler, &b.g, &class.key.mix, profile)
+                        .unwrap();
                     let cycles =
                         estimate_class_cycles(&plan, &b.g, &b.functional, &b.base, &class.key)
                             .unwrap()

@@ -28,11 +28,12 @@
 //! `--trace` writes a Chrome `trace_event` JSON of every workload query
 //! under the Pareto design (open in `chrome://tracing` or Perfetto);
 //! `--metrics` dumps the deterministic metrics registry as JSON (or CSV
-//! when the path ends in `.csv`). Each figure's sweep prints a
-//! `schedule cache:` hits/misses line plus a `quantum jumps:` coverage
-//! line and resets/snapshots the counters, so the numbers are
-//! per-figure; figures that never consult the shared caches (or never
-//! run the fluid timing layer) print no such lines at all.
+//! when the path ends in `.csv`). Each figure's sweep prints
+//! `plan cache:` and `timing memo:` hits/misses lines plus a
+//! `quantum jumps:` coverage line and resets/snapshots the counters,
+//! so the numbers are per-figure; figures that never consult the shared
+//! caches (or never run the fluid timing layer) print no such lines at
+//! all.
 
 use std::collections::BTreeSet;
 use std::env;
@@ -230,19 +231,17 @@ fn main() -> ExitCode {
     // --jobs setting (see `CacheStats` and `JumpStats`).
     let mut jump_mark = q100_experiments::JumpStats::default();
     let mut cache_line = |label: &str| {
-        let sched = workload.sched_cache_stats();
         let plan = workload.plan_cache_stats();
         let memo = workload.timing_memo_stats();
         // Suppress the lines when nothing consulted the shared caches
         // (e.g. a study that prepares its own scaled workload) —
         // `0 hits / 0 misses` would only be noise. Counters still reset
         // so the next figure's lines stay per-figure.
-        if [sched, plan, memo].iter().any(|s| s.hits + s.misses > 0) {
-            println!("{label} schedule cache: {sched}");
+        if [plan, memo].iter().any(|s| s.hits + s.misses > 0) {
             println!("{label} plan cache: {plan}");
             println!("{label} timing memo: {memo}");
         }
-        workload.reset_sched_cache_stats();
+        workload.reset_cache_stats();
         let now = workload.jump_stats();
         let jump = now.since(&jump_mark);
         jump_mark = now;
@@ -462,7 +461,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!("Chrome trace written to {path} (open in chrome://tracing or Perfetto)");
-        workload.reset_sched_cache_stats();
+        workload.reset_cache_stats();
     }
     if let Some(path) = metrics_out {
         let snapshot = workload.metrics().snapshot();

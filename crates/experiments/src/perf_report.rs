@@ -2,7 +2,7 @@
 //! wall-clock and simulated cycles, written as `BENCH_<date>.json` so
 //! successive commits can be compared for performance regressions.
 //!
-//! Simulated-cycle totals (and the schedule-cache counters) are
+//! Simulated-cycle totals (and the plan-cache counters) are
 //! deterministic at any `--jobs` setting; the wall-clock fields are the
 //! only run-dependent values, and regression tooling should compare
 //! them across runs of the *same* machine only.
@@ -76,9 +76,8 @@ pub struct PerfReport {
     /// per-query cycles here are what `compare-bench` diffs against the
     /// committed baseline.
     pub blame: Vec<QueryBlame>,
-    /// Plan-cache counters over the whole report (one lookup per
-    /// simulation — numerically what the schedule cache reported before
-    /// compiled plans existed, so the JSON schema is unchanged).
+    /// Plan-cache counters over the whole report: one lookup per
+    /// simulation, one miss per scheduler run.
     pub cache: q100_core::CacheStats,
     /// Event-horizon solver counters over the whole report: fused jumps
     /// taken, quanta they skipped, quanta stepped one by one, the

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use q100_core::trace::{Registry, RingRecorder, TraceStream};
 use q100_core::{
     simulate_plan, BlameRecorder, BoundedCache, CacheStats, FunctionalRun, Observe, PlanCache,
-    QueryGraph, Schedule, ScheduleCache, SimConfig, SimOutcome, SimScratch, Simulator, StagePlan,
-    TileKind, TimingResult,
+    QueryGraph, Schedule, SimConfig, SimOutcome, SimScratch, Simulator, StagePlan, TileKind,
+    TimingResult,
 };
 use q100_tpch::queries::{self, TpchQuery};
 use q100_tpch::TpchData;
@@ -38,7 +38,7 @@ pub struct PreparedQuery {
     pub graph: QueryGraph,
     /// Functional results and per-edge volumes.
     pub functional: FunctionalRun,
-    /// Position in the workload — the schedule-cache tag (the graph and
+    /// Position in the workload — the plan-cache tag (the graph and
     /// profile are fixed per prepared query, so this index pins the
     /// cache key).
     pub index: usize,
@@ -130,16 +130,15 @@ impl TimingKey {
 
 /// A workload: a generated database plus every query prepared against
 /// it. Functional execution happens exactly once; configuration sweeps
-/// reuse the cached profiles and fan out across cores. Three memos make
-/// each distinct thing simulate once: schedules and compiled plans per
-/// (query, scheduler, demand-clamped tile mix), and whole timing
-/// results per (query, schedule, timing-relevant config).
+/// reuse the cached profiles and fan out across cores. Two memos make
+/// each distinct thing simulate once: compiled plans (with their
+/// schedules) per (query, scheduler, demand-clamped tile mix), and
+/// whole timing results per (query, schedule, timing-relevant config).
 pub struct Workload {
     /// The database.
     pub db: TpchData,
     /// The prepared queries, in paper order.
     pub queries: Vec<PreparedQuery>,
-    sched_cache: ScheduleCache,
     plan_cache: PlanCache,
     timing_memo: BoundedCache<TimingKey, Arc<TimingResult>>,
     metrics: Arc<Registry>,
@@ -179,14 +178,13 @@ impl Workload {
             })
             .collect();
         let metrics = Arc::new(Registry::new());
-        let sched_cache = ScheduleCache::with_metrics(Arc::clone(&metrics), "sched.cache.lookups");
         let plan_cache = PlanCache::with_metrics(Arc::clone(&metrics), "plan.cache.lookups");
         let timing_memo = BoundedCache::with_metrics(Arc::clone(&metrics), "timing.memo.lookups");
-        Workload { db, queries, sched_cache, plan_cache, timing_memo, metrics }
+        Workload { db, queries, plan_cache, timing_memo, metrics }
     }
 
-    /// The workload's metrics registry: every sweep, schedule-cache
-    /// lookup and simulation records into it, and `--metrics` dumps its
+    /// The workload's metrics registry: every sweep, cache lookup and
+    /// simulation records into it, and `--metrics` dumps its
     /// deterministic snapshot.
     #[must_use]
     pub fn metrics(&self) -> &Arc<Registry> {
@@ -210,7 +208,6 @@ impl Workload {
                 &prepared.graph,
                 &config.mix,
                 &prepared.functional.profile,
-                &self.sched_cache,
             )
             .unwrap_or_else(|e| panic!("{}: scheduling failed: {e}", prepared.query.name))
     }
@@ -357,8 +354,8 @@ impl Workload {
 
     /// Simulates one prepared query under `base` with `scenario`'s
     /// faults injected — killed tiles reschedule on the degraded mix
-    /// (through the shared plan and schedule caches, which key on the
-    /// demand-clamped mix), deratings slow the fluid timing layer. The
+    /// (through the shared plan cache, which keys on the demand-clamped
+    /// mix), deratings slow the fluid timing layer. The
     /// timing memo is not consulted.
     ///
     /// # Errors
@@ -377,7 +374,6 @@ impl Workload {
             &prepared.functional,
             base,
             scenario,
-            &self.sched_cache,
             &self.plan_cache,
             prepared.index as u64,
             None,
@@ -477,17 +473,8 @@ impl Workload {
         }
     }
 
-    /// Schedule-cache hit/miss counters accumulated by this workload.
-    /// With plan-driven simulation the schedule cache is consulted only
-    /// on plan misses, so its hits count cross-layer reuse (e.g. a
-    /// resilience scenario landing on an already-planned mix).
-    #[must_use]
-    pub fn sched_cache_stats(&self) -> CacheStats {
-        self.sched_cache.stats()
-    }
-
     /// Plan-cache hit/miss counters accumulated by this workload — one
-    /// lookup per simulation.
+    /// lookup per simulation; the misses are the scheduler runs.
     #[must_use]
     pub fn plan_cache_stats(&self) -> CacheStats {
         self.plan_cache.stats()
@@ -501,19 +488,17 @@ impl Workload {
         self.timing_memo.stats()
     }
 
-    /// Drops memoized schedules, compiled plans and timing results, and
-    /// zeroes the three caches' counters, so the next sweep starts cold.
+    /// Drops memoized plans (with their schedules) and timing results,
+    /// and zeroes both caches' counters, so the next sweep starts cold.
     pub fn clear_sched_cache(&self) {
-        self.sched_cache.clear();
         self.plan_cache.clear();
         self.timing_memo.clear();
     }
 
-    /// Zeroes the three caches' hit/miss counters while keeping every
+    /// Zeroes both caches' hit/miss counters while keeping every
     /// memoized value, so each figure's stdout lines report their own
     /// sweep.
-    pub fn reset_sched_cache_stats(&self) {
-        self.sched_cache.reset_stats();
+    pub fn reset_cache_stats(&self) {
         self.plan_cache.reset_stats();
         self.timing_memo.reset_stats();
     }
@@ -555,12 +540,9 @@ mod tests {
         let a = w.simulate(&w.queries[0], &SimConfig::low_power());
         let b = w.simulate(&w.queries[0], &SimConfig::low_power());
         assert_eq!(a.cycles, b.cycles);
-        // The second simulation reused the first's compiled plan; the
-        // schedule cache was consulted only on the plan miss.
+        // The second simulation reused the first's compiled plan.
         let plan_stats = w.plan_cache_stats();
         assert_eq!((plan_stats.hits, plan_stats.misses), (1, 1));
-        let sched_stats = w.sched_cache_stats();
-        assert_eq!((sched_stats.hits, sched_stats.misses), (0, 1));
         // ...and its whole timing result: one kernel run in all.
         let memo_stats = w.timing_memo_stats();
         assert_eq!((memo_stats.hits, memo_stats.misses), (1, 1));

@@ -61,9 +61,9 @@ pub struct ServeCell {
 
 /// Aggregate cache statistics over a study's devices, captured after
 /// every cell has run. All counts are deterministic at any `--jobs`
-/// setting: hit/miss splits are length-based and classifier plan
-/// compilation is serialized per canonical mix (see
-/// [`q100_core::ScenarioClassifier`]).
+/// setting: hit/miss splits are length-based, the plan cache is
+/// single-flight, and neither cache evicts (see
+/// [`q100_core::CacheStats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeCaches {
     /// Service-cost cache hits (attempt classes answered without
@@ -76,18 +76,12 @@ pub struct ServeCaches {
     pub cost_evictions: u64,
     /// Distinct `(query, class)` costs resident at the end.
     pub cost_entries: u64,
-    /// Stage-plan cache hits / misses / evictions.
+    /// Stage-plan cache hits.
     pub plan_hits: u64,
-    /// Stage-plan cache misses.
+    /// Stage-plan cache misses — each one is a scheduler run.
     pub plan_misses: u64,
     /// Stage-plan cache evictions.
     pub plan_evictions: u64,
-    /// Schedule cache hits / misses / evictions.
-    pub sched_hits: u64,
-    /// Schedule cache misses.
-    pub sched_misses: u64,
-    /// Schedule cache evictions.
-    pub sched_evictions: u64,
 }
 
 impl ServeCaches {
@@ -104,10 +98,6 @@ impl ServeCaches {
             c.plan_hits += plan.hits;
             c.plan_misses += plan.misses;
             c.plan_evictions += device.plan_cache().evictions();
-            let sched = device.sched_cache().stats();
-            c.sched_hits += sched.hits;
-            c.sched_misses += sched.misses;
-            c.sched_evictions += device.sched_cache().evictions();
         }
         c
     }
@@ -118,15 +108,13 @@ impl ServeCaches {
     pub fn render(&self) -> String {
         format!(
             "cost cache: {} hits, {} misses (unique sims), {} entries, {} evictions; \
-             plan cache: {} hits, {} misses; schedule cache: {} hits, {} misses\n",
+             plan cache: {} hits, {} misses\n",
             self.cost_hits,
             self.cost_misses,
             self.cost_entries,
             self.cost_evictions,
             self.plan_hits,
             self.plan_misses,
-            self.sched_hits,
-            self.sched_misses,
         )
     }
 }
@@ -267,7 +255,6 @@ impl ServeStudy {
             out,
             "  \"caches\": {{\"cost\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}, \
              \"evictions\": {}}}, \"plan\": {{\"hits\": {}, \"misses\": {}, \
-             \"evictions\": {}}}, \"sched\": {{\"hits\": {}, \"misses\": {}, \
              \"evictions\": {}}}}}",
             c.cost_hits,
             c.cost_misses,
@@ -275,10 +262,7 @@ impl ServeStudy {
             c.cost_evictions,
             c.plan_hits,
             c.plan_misses,
-            c.plan_evictions,
-            c.sched_hits,
-            c.sched_misses,
-            c.sched_evictions
+            c.plan_evictions
         );
         out.push_str("}\n");
         out

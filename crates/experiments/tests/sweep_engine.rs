@@ -23,15 +23,15 @@ fn plan_cache_hits_on_bandwidth_sweeps_without_changing_results() {
     let w = Workload::prepare_subset(0.002, &["q6", "q1"]);
     // A bandwidth sweep re-simulates the same (query, scheduler, mix)
     // keys under different caps — everything after the first pass per
-    // design must hit the compiled-plan cache, and each plan miss
-    // resolves its schedule through the schedule cache exactly once.
+    // design must hit the compiled-plan cache, so the scheduler runs at
+    // most once per (query, design).
     let sweep = comm::bandwidth_sweep(&w, "NoC", &[2.0, comm::NOC_LIMIT_GBPS, 10.0]);
     assert!(sweep.max_slowdown() >= 1.0);
     let stats = w.plan_cache_stats();
     assert!(stats.hits > 0, "bandwidth sweep must reuse compiled plans: {stats}");
     assert!(stats.misses > 0, "first sight of each key is a miss: {stats}");
-    let sched = w.sched_cache_stats();
-    assert_eq!(sched.misses, stats.misses, "one schedule per compiled plan: {sched}");
+    let keys = (w.queries.len() * paper_designs().len()) as u64;
+    assert!(stats.misses <= keys, "one schedule per (query, design) at most: {stats}");
 
     // Cache transparency: cached and from-scratch runs agree exactly.
     for p in &w.queries {

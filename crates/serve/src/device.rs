@@ -2,8 +2,8 @@
 
 use q100_core::{
     estimate_class_cycles, estimate_service_cycles, CostKey, FaultScenario, FunctionalRun,
-    PlanCache, QueryGraph, Result, ScenarioClassifier, ScheduleCache, ServiceCost,
-    ServiceCostCache, SimConfig, FREQUENCY_MHZ,
+    PlanCache, QueryGraph, Result, ScenarioClassifier, ServiceCost, ServiceCostCache, SimConfig,
+    FREQUENCY_MHZ,
 };
 use q100_dbms::SoftwareCost;
 
@@ -34,14 +34,31 @@ pub struct CostProbe {
     pub known: Option<ServiceCost>,
 }
 
+/// The resident-entry bound of a device's plan and cost caches.
+///
+/// Costs are tiny (a key plus one `u64`), so the bound is generous: a
+/// million-request soak at a 20% fault rate populates high hundreds of
+/// thousands of classes and must stay eviction-free for its
+/// unique-simulation accounting to be exact, while a pathological
+/// stream still cannot grow memory without bound (~200 B per entry, a
+/// ~400 MB ceiling).
+///
+/// The plan cache shares the bound so that it never evicts, which keeps
+/// its counters independent of the worker count: every feasible
+/// canonical mix it compiles yields at least one cost key, so it cannot
+/// evict before the cost cache does. For plans the bound is no useful
+/// memory ceiling: a plan is far larger than a cost entry, and a long
+/// soak keeps every plan it compiles resident (a FOUND note in
+/// `CHANGES.md` measures the growth).
+const CACHE_BOUND: usize = 1 << 21;
+
 /// A Q100 design wrapped behind a fallible cycle-estimate interface,
-/// owning its own bounded schedule/plan/cost caches so repeated
-/// requests for the same query are cheap.
+/// owning its own bounded plan and cost caches so repeated requests
+/// for the same query are cheap.
 #[derive(Debug)]
 pub struct Q100Device<'w> {
     config: SimConfig,
     queries: Vec<ServiceQuery<'w>>,
-    sched_cache: ScheduleCache,
     plans: PlanCache,
     baseline_cycles: Vec<u64>,
     classifiers: Vec<ScenarioClassifier>,
@@ -52,7 +69,7 @@ pub struct Q100Device<'w> {
 impl<'w> Q100Device<'w> {
     /// Builds a device for `config`, validating it and precomputing the
     /// fault-free baseline cycle count of every query (this also warms
-    /// the schedule/plan caches and seeds the cost cache with each
+    /// the plan cache and seeds the cost cache with each
     /// query's healthy class, so serving-time estimates only pay for
     /// fault-specific simulation).
     ///
@@ -62,8 +79,7 @@ impl<'w> Q100Device<'w> {
     /// any query cannot be scheduled on the healthy mix.
     pub fn new(config: SimConfig, queries: Vec<ServiceQuery<'w>>) -> Result<Self> {
         config.validate()?;
-        let sched_cache = ScheduleCache::new();
-        let plans = PlanCache::new();
+        let plans = PlanCache::with_capacity(CACHE_BOUND);
         let empty = FaultScenario { faults: Vec::new() };
         let mut baseline_cycles = Vec::with_capacity(queries.len());
         for (tag, q) in queries.iter().enumerate() {
@@ -72,7 +88,6 @@ impl<'w> Q100Device<'w> {
                 q.functional,
                 &config,
                 &empty,
-                &sched_cache,
                 &plans,
                 tag as u64,
             )?);
@@ -81,14 +96,8 @@ impl<'w> Q100Device<'w> {
         // query: scenarios whose faults are invisible to the simulator
         // (masked derates, clamped-away kills, stall-only scenarios)
         // collapse onto these keys and never simulate. The stats reset
-        // keeps seeded entries out of the reported miss counts. Costs
-        // are tiny (a key plus one `u64`), so the bound is generous: a
-        // million-request soak at a 20% fault rate populates high
-        // hundreds of thousands of classes and must stay eviction-free
-        // for its unique-simulation accounting to be exact, while a
-        // pathological stream still cannot grow memory without bound
-        // (~200 B per entry, a ~400 MB ceiling).
-        let costs = ServiceCostCache::with_capacity(1 << 21);
+        // keeps seeded entries out of the reported miss counts.
+        let costs = ServiceCostCache::with_capacity(CACHE_BOUND);
         let mut classifiers = Vec::with_capacity(queries.len());
         let mut healthy_keys = Vec::with_capacity(queries.len());
         for (tag, q) in queries.iter().enumerate() {
@@ -98,7 +107,6 @@ impl<'w> Q100Device<'w> {
                 q.graph,
                 &q.functional.profile,
                 config.scheduler,
-                &sched_cache,
                 &plans,
                 tag as u64,
             );
@@ -107,16 +115,7 @@ impl<'w> Q100Device<'w> {
             classifiers.push(classifier);
         }
         costs.reset_stats();
-        Ok(Q100Device {
-            config,
-            queries,
-            sched_cache,
-            plans,
-            baseline_cycles,
-            classifiers,
-            healthy_keys,
-            costs,
-        })
+        Ok(Q100Device { config, queries, plans, baseline_cycles, classifiers, healthy_keys, costs })
     }
 
     /// Device cycles to run query `query` under `scenario`. An empty
@@ -138,7 +137,6 @@ impl<'w> Q100Device<'w> {
             q.functional,
             &self.config,
             scenario,
-            &self.sched_cache,
             &self.plans,
             query as u64,
         )
@@ -164,7 +162,6 @@ impl<'w> Q100Device<'w> {
             q.graph,
             &q.functional.profile,
             self.config.scheduler,
-            &self.sched_cache,
             &self.plans,
             query as u64,
         );
@@ -176,11 +173,22 @@ impl<'w> Q100Device<'w> {
     /// Pure in `(query, key)` and safe to call from worker threads.
     #[must_use]
     pub fn class_cost(&self, query: usize, key: &CostKey) -> ServiceCost {
-        let Some(plan) = self.classifiers[query].plan(&key.mix) else {
-            return ServiceCost::Failed;
-        };
         let q = &self.queries[query];
-        match estimate_class_cycles(&plan, q.graph, q.functional, &self.config, key) {
+        let (tag, scheduler) = (query as u64, self.config.scheduler);
+        // The probe that produced `key` already looked its plan up (the
+        // key's mix is canonical, so it is the plan key). Re-reading it
+        // uncounted keeps the plan cache's hits independent of how
+        // often racing serve cells miss the same cost.
+        let plan = match self.plans.peek(&(tag, scheduler, key.mix)) {
+            Some(plan) => Ok(plan),
+            None => {
+                self.plans.get_or_compile(tag, scheduler, q.graph, &key.mix, &q.functional.profile)
+            }
+        };
+        let cycles = plan.and_then(|plan| {
+            estimate_class_cycles(&plan, q.graph, q.functional, &self.config, key)
+        });
+        match cycles {
             Ok(cycles) => ServiceCost::Cycles(cycles),
             Err(_) => ServiceCost::Failed,
         }
@@ -192,13 +200,8 @@ impl<'w> Q100Device<'w> {
         &self.costs
     }
 
-    /// The schedule cache backing plan compilation.
-    #[must_use]
-    pub fn sched_cache(&self) -> &ScheduleCache {
-        &self.sched_cache
-    }
-
-    /// The compiled-plan cache.
+    /// The compiled-plan cache (one entry per feasible canonical mix
+    /// seen, keyed by query index).
     #[must_use]
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plans

@@ -12,9 +12,8 @@
 //!   and query mixes);
 //! * [`Q100Device`] — a Q100 design wrapped behind a fallible
 //!   cycle-estimate interface ([`q100_core::estimate_service_cycles`])
-//!   with its own bounded [`ScheduleCache`](q100_core::ScheduleCache) /
-//!   [`PlanCache`](q100_core::PlanCache) and memoized fault-free
-//!   baselines;
+//!   with its own bounded [`PlanCache`](q100_core::PlanCache) and
+//!   memoized fault-free baselines;
 //! * [`ServePolicy`] + [`CircuitBreaker`] — admission control / load
 //!   shedding at a configurable queue depth, per-query deadlines in
 //!   simulated cycles, bounded retry with exponential backoff against

@@ -1,13 +1,18 @@
 //! Chaos soak: 10k requests against a fault-injected device, proving
 //! the no-silent-drop accounting and the graceful-degradation paths.
 
+use std::collections::HashSet;
+
 use q100_columnar::{Column, Table, Value};
 use q100_core::{
-    execute, AggOp, CmpOp, CoreError, Fault, FaultScenario, FunctionalRun, MemoryCatalog,
-    QueryGraph, SimConfig, TileKind, TileMix,
+    check_feasible, execute, AggOp, CmpOp, CoreError, Fault, FaultScenario, FunctionalRun,
+    MemoryCatalog, QueryGraph, SimConfig, TileKind, TileMix,
 };
 use q100_dbms::SoftwareCost;
-use q100_serve::{run_service, Disposition, Q100Device, ServePolicy, ServiceQuery, TenantSpec};
+use q100_serve::{
+    generate_requests, mix_seed, run_service, Disposition, Q100Device, Request, ServePolicy,
+    ServiceQuery, TenantSpec,
+};
 use q100_trace::{Registry, RingRecorder, TraceEvent};
 
 fn catalog() -> MemoryCatalog {
@@ -240,4 +245,66 @@ fn unschedulable_mix_degrades_to_software() {
             .all(|o| o.finish >= o.arrival),
         "every degraded request is answered, never dropped"
     );
+}
+
+/// The distinct feasible `(query, canonical mix)` pairs a soak over
+/// `requests` probes, derived without the device's caches: each query's
+/// healthy mix (compiled when the device is built), then each request's
+/// attempts in order until one lands on a schedulable mix.
+fn feasible_canonical_mixes(
+    device: &Q100Device<'_>,
+    requests: &[Request],
+    policy: &ServePolicy,
+) -> HashSet<(usize, TileMix)> {
+    let base = device.config().mix;
+    let demand: Vec<_> = device.queries().iter().map(|q| q.graph.kind_histogram()).collect();
+    let mut mixes: HashSet<_> = demand.iter().map(|d| base.clamped_to(d)).enumerate().collect();
+    for req in requests {
+        for attempt in 1..=u64::from(policy.max_attempts.max(1)) {
+            let seed = mix_seed(req.seed, &[attempt]);
+            let scenario = FaultScenario::generate(seed, policy.fault_rate, &base);
+            let mix = scenario.degraded_mix(&base).clamped_to(&demand[req.query]);
+            if check_feasible(device.queries()[req.query].graph, &mix).is_ok() {
+                mixes.insert((req.query, mix));
+                break;
+            }
+        }
+    }
+    mixes
+}
+
+/// The plan cache is the device's only plan memo: a 2k-request soak at
+/// a 30% fault rate compiles exactly one plan per feasible canonical
+/// mix it probes, evicts nothing, and a replay on the same device
+/// compiles nothing new and reproduces every cost. On the Pareto and
+/// `uniform(1)` designs only the healthy mixes are feasible (kills
+/// either clamp away or starve a kind); on `uniform(2)` a kill can
+/// halve a demanded kind and still leave a schedulable mix.
+#[test]
+fn plan_cache_compiles_each_feasible_canonical_mix_once() {
+    let w = Workload::new();
+    let total = 2_000;
+    let mut rescheduled = 0;
+    for mix in [TileMix::pareto(), TileMix::uniform(1), TileMix::uniform(2)] {
+        let config = SimConfig { mix, ..SimConfig::pareto() };
+        let device = Q100Device::new(config, w.queries()).unwrap();
+        let mean = device.mean_baseline_cycles();
+        let (tenants, policy) = (tenants(mean), policy(mean, 0.3));
+        let first = run_service(&device, &tenants, &policy, 0x5eed, total, None, None);
+        first.check_invariants().unwrap();
+
+        let requests = generate_requests(0x5eed, &tenants, total);
+        let expected = feasible_canonical_mixes(&device, &requests, &policy);
+        let plans = device.plan_cache();
+        assert_eq!(plans.stats().misses, expected.len() as u64, "{}", device.config().mix);
+        assert_eq!(plans.evictions(), 0);
+        rescheduled += expected.len() - device.queries().len();
+
+        let (plan_misses, cost_misses) = (plans.stats().misses, device.cost_cache().stats().misses);
+        let replay = run_service(&device, &tenants, &policy, 0x5eed, total, None, None);
+        assert_eq!(plans.stats().misses, plan_misses, "a replay compiles no new plan");
+        assert_eq!(device.cost_cache().stats().misses, cost_misses, "a replay simulates nothing");
+        assert_eq!(replay, first, "a replay reproduces every cost");
+    }
+    assert!(rescheduled > 0, "some kill must reschedule onto a feasible degraded mix");
 }

@@ -38,14 +38,14 @@ fn main() {
 
     // The workload's metrics registry counted the exploration as it
     // ran: simulated cycles, pool batches, and cache traffic. Mixes
-    // that differ only beyond a query's tile demand share one schedule,
-    // and equal schedules share one timing run.
+    // that differ only beyond a query's tile demand share one plan, and
+    // equal schedules share one timing run.
     let m = workload.metrics();
     println!(
         "\nexploration accounting: {} (config, query) points over {} pool batches",
         m.counter("sim.runs"),
         m.counter("pool.batches"),
     );
-    println!("schedule cache: {}", workload.sched_cache_stats());
+    println!("plan cache: {}", workload.plan_cache_stats());
     println!("timing memo: {}", workload.timing_memo_stats());
 }

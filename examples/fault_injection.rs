@@ -10,15 +10,12 @@
 //! Run with: `cargo run --release --example fault_injection`
 
 use q100::core::trace::RingRecorder;
-use q100::core::{
-    execute_lean, run_resilient, CoreError, FaultScenario, PlanCache, ScheduleCache, SimConfig,
-};
+use q100::core::{execute_lean, run_resilient, CoreError, FaultScenario, PlanCache, SimConfig};
 use q100::tpch::{queries, TpchData};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = TpchData::generate(0.01);
     let base = SimConfig::pareto();
-    let cache = ScheduleCache::new();
     let plans = PlanCache::new();
 
     for (tag, name) in [(0u64, "q6"), (1, "q14")] {
@@ -28,8 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // The fault-free baseline.
         let clean = FaultScenario { faults: Vec::new() };
-        let baseline =
-            run_resilient(&graph, &functional, &base, &clean, &cache, &plans, tag, None, None)?;
+        let baseline = run_resilient(&graph, &functional, &base, &clean, &plans, tag, None, None)?;
         println!("{name}: fault-free baseline {} cycles", baseline.outcome.cycles);
 
         // Escalating fault campaigns from fixed seeds.
@@ -41,7 +37,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &functional,
                 &base,
                 &scenario,
-                &cache,
                 &plans,
                 tag,
                 Some(&mut rec),
