@@ -128,19 +128,16 @@ pub(crate) fn lower_expr(
             Ok(b.alu_not(c))
         }
         Expr::InList(inner, values) => {
-            if values.is_empty() {
+            let Some((first, rest)) = values.split_first() else {
                 return Err(CompileError::Unsupported("empty IN list".into()));
-            }
+            };
             let col = lower_expr(b, env, inner)?;
-            let mut acc: Option<PortRef> = None;
-            for v in values {
+            let mut acc = b.bool_gen_const(col, CmpOp::Eq, first.clone());
+            for v in rest {
                 let eq = b.bool_gen_const(col, CmpOp::Eq, v.clone());
-                acc = Some(match acc {
-                    None => eq,
-                    Some(prev) => b.alu(prev, AluOp::Or, eq),
-                });
+                acc = b.alu(acc, AluOp::Or, eq);
             }
-            Ok(acc.expect("non-empty list"))
+            Ok(acc)
         }
     }
 }

@@ -10,12 +10,9 @@
 //!   key that is still computing wait on a condvar for the result
 //!   instead of computing it again. The number of computations — and
 //!   with it every counter of a cache the computation consults — is
-//!   therefore independent of worker timing.
-//! * **Split lookup.** [`BoundedCache::get`] and [`BoundedCache::insert`]
-//!   serve callers that batch their misses (the two-phase serve engine
-//!   looks up each deduplicated key once, simulates the misses on a
-//!   worker pool, then inserts); [`BoundedCache::peek`] re-reads a
-//!   resident value without counting a lookup.
+//!   therefore independent of worker timing. It is the only lookup:
+//!   callers that batch their misses (the two-phase serve engine) call
+//!   it once per deduplicated key from their worker pool.
 //! * **Bounded.** Inserting a fresh key at capacity evicts one arbitrary
 //!   resident entry and bumps the eviction counter (and the
 //!   `cache.evictions` registry metric).
@@ -193,31 +190,6 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
                 Err(e)
             }
         }
-    }
-
-    /// The resident value of `key`, counting the lookup whether or not
-    /// it hits. A key still being computed reads as absent.
-    #[must_use]
-    pub fn get(&self, key: &K) -> Option<V> {
-        self.note_lookup();
-        self.peek(key)
-    }
-
-    /// The resident value of `key` without counting a lookup, for
-    /// callers re-reading a value that an earlier, counted lookup
-    /// already resolved. A key still being computed reads as absent.
-    #[must_use]
-    pub fn peek(&self, key: &K) -> Option<V> {
-        match self.lock().map.get(key) {
-            Some(Slot::Ready(v)) => Some(v.clone()),
-            _ => None,
-        }
-    }
-
-    /// Inserts a freshly computed value; a resident value for the same
-    /// key wins, so concurrent fills stay consistent.
-    pub fn insert(&self, key: K, value: V) {
-        self.store(key, value);
     }
 
     /// Makes `value` resident under `key` (evicting at capacity) unless
@@ -498,24 +470,5 @@ mod tests {
         let computed = Cell::new(0);
         assert_eq!(*fetch(&cache, 2, &computed), 20, "a released slot computes again");
         assert_eq!(computed.get(), 1);
-    }
-
-    #[test]
-    fn split_get_and_insert_count_like_get_or_insert() {
-        let cache: BoundedCache<(u64, u64), u64> = BoundedCache::new();
-        assert_eq!(cache.get(&(0, 1)), None);
-        cache.insert((0, 1), 10);
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1 });
-        assert_eq!(cache.get(&(0, 1)), Some(10));
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-        // A resident value wins over a concurrent fill of the same key.
-        cache.insert((0, 1), 99);
-        assert_eq!(cache.get(&(0, 1)), Some(10));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 1 });
-        // A peek reads the resident value without counting a lookup.
-        assert_eq!(cache.peek(&(0, 1)), Some(10));
-        assert_eq!(cache.peek(&(0, 2)), None);
-        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 1 });
     }
 }

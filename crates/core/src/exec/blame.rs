@@ -28,8 +28,8 @@
 //! The quantum-jump fast path stays armed while recording, and takes
 //! the same decisions as without a recorder: every hook also captures
 //! the quantum's per-(node, cause) amounts, and a closed-form fold of
-//! `k` quanta re-adds those amounts `k` times
-//! ([`BlameRecorder::fold_quantum`]) while a replay fold reruns the
+//! `k` quanta re-adds those amounts `k` times (the crate-private
+//! `BlameRecorder::fold_quantum`) while a replay fold reruns the
 //! hooks through the stepping kernel — bit-identical to stepping,
 //! because each ledger slot receives at most one addition per quantum
 //! and slots accumulate independently.

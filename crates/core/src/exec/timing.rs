@@ -33,10 +33,10 @@
 //! until a stream drains, a stage finishes filling or spilling, a queue
 //! saturates, a memory budget phase shifts, or any clamp rebinds — and
 //! advances that many quanta in one fused update that is bit-identical
-//! to stepping (see [`jump_horizon`] for the segment math). A segment it
-//! cannot certify still skips the solver's per-quantum work when both
-//! memory budgets are pinned: the rest of the stage replays through the
-//! stepping kernel with the budgets dropped. The solver handles
+//! to stepping (the private `jump_horizon` holds the segment math). A
+//! segment it cannot certify still skips the solver's per-quantum work
+//! when both memory budgets are pinned: the rest of the stage replays
+//! through the stepping kernel with the budgets dropped. The solver handles
 //! bandwidth caps, fault derating, and attached blame recorders; only a
 //! trace sink forces pure stepping (jumped quanta emit no per-quantum
 //! events).
@@ -186,8 +186,8 @@ pub fn gbps_to_bytes_per_cycle(gbps: f64) -> f64 {
 
 /// The kill switch for the quantum-jump fast path, process-wide.
 /// Defaults to enabled; `--no-jump` flips it to force pure stepping on
-/// every simulation path — including the derated runs `run_resilient`
-/// simulates in a scratch of its own. A single run is forced to step
+/// every simulation path — derated runs included, which take the same
+/// plan-and-kernel path as every other run. A single run is forced to step
 /// by attaching a trace sink ([`Observe::sink`]). The jump is
 /// bit-identical by construction, so this only trades wall-clock time;
 /// CI byte-compares both settings.

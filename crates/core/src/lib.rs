@@ -39,8 +39,7 @@ pub use exec::{
 pub use isa::{AggOp, AluOp, CmpOp, GraphBuilder, NodeId, PortRef, QueryGraph, SpatialOp};
 pub use power::DesignBudget;
 pub use resilience::{
-    estimate_class_cycles, estimate_service_cycles, run_resilient, CostKey, Derate, Fault,
-    FaultScenario, ResilientOutcome, ScenarioClass, ScenarioClassifier, ServiceCost,
+    CostKey, Derate, Fault, FaultScenario, ScenarioClass, ScenarioClassifier, ServiceCost,
     ServiceCostCache,
 };
 pub use sched::{check_feasible, schedule, CacheStats, Schedule, ScheduleCache, Tinst};

@@ -13,27 +13,28 @@
 //! 2. [`FaultScenario::apply`] turns a healthy [`SimConfig`] into a
 //!    degraded one: killed instances leave the [`TileMix`], the
 //!    remaining derates become a [`Derate`] attached to the config.
-//! 3. [`run_resilient`] reschedules the query on the degraded mix
-//!    (through the shared [`PlanCache`], whose keys clamp the mix to
-//!    the query's per-kind demand, so a kill below demand always
-//!    reschedules) and runs the timing simulation
-//!    with the derating factors active in the quantum loop. Infeasible
-//!    degraded mixes surface as [`CoreError::Unschedulable`] — never a
-//!    panic — so sweeps report the failure and keep going.
+//! 3. The degraded configuration runs like any other: the shared
+//!    [`PlanCache`] keys on the mix clamped to the query's per-kind
+//!    demand, so a kill below demand reschedules, and the timing
+//!    simulation runs with the derating factors active in the quantum
+//!    loop. Infeasible degraded mixes surface as
+//!    [`CoreError::Unschedulable`](crate::CoreError::Unschedulable) —
+//!    never a panic — so sweeps report the failure and keep going.
+//! 4. [`ScenarioClassifier`] collapses scenarios the simulator cannot
+//!    tell apart into one [`CostKey`], so a serving layer simulates each
+//!    distinct cost once ([`ServiceCostCache`]).
 //!
 //! An empty scenario applies to *no change at all* (`derate: None`),
 //! so a fault-rate-0 run reproduces baseline cycle counts exactly.
 
-use q100_trace::{Registry, TraceEvent, TraceSink};
+use std::sync::Arc;
+
 use q100_xrand::Rng;
 
 use crate::cache::BoundedCache;
 use crate::config::{SchedulerKind, SimConfig, TileMix};
 use crate::error::Result;
-use crate::exec::{
-    gbps_to_bytes_per_cycle, FunctionalRun, GraphProfile, Observe, PlanCache, SimOutcome,
-    SimScratch, Simulator, StagePlan, MEMORY_ENDPOINT,
-};
+use crate::exec::{gbps_to_bytes_per_cycle, GraphProfile, PlanCache, StagePlan};
 use crate::isa::QueryGraph;
 use crate::tiles::TileKind;
 
@@ -81,48 +82,6 @@ pub enum Fault {
         /// Extra cycles charged to that stage.
         cycles: u64,
     },
-}
-
-impl Fault {
-    /// Numeric taxonomy code stamped into
-    /// [`TraceEvent::FaultInjected`] events.
-    #[must_use]
-    pub fn code(&self) -> u16 {
-        match self {
-            Fault::TileKilled { .. } => 0,
-            Fault::TileDerated { .. } => 1,
-            Fault::NocDegraded { .. } => 2,
-            Fault::MemThrottled { .. } => 3,
-            Fault::TinstStall { .. } => 4,
-        }
-    }
-
-    /// The endpoint index the fault applies to (tile kind index, the
-    /// memory endpoint, or the stall slot for transient stalls).
-    #[must_use]
-    pub fn endpoint(&self) -> u16 {
-        match self {
-            Fault::TileKilled { kind } | Fault::TileDerated { kind, .. } => *kind as u16,
-            Fault::NocDegraded { .. } | Fault::MemThrottled { .. } => MEMORY_ENDPOINT as u16,
-            Fault::TinstStall { slot, .. } => u16::try_from(*slot).unwrap_or(u16::MAX),
-        }
-    }
-
-    /// The fault magnitude stamped into trace events: instances removed
-    /// for kills, the derating factor for derates, stall cycles for
-    /// stalls.
-    #[must_use]
-    pub fn magnitude(&self) -> f64 {
-        match self {
-            Fault::TileKilled { .. } => 1.0,
-            Fault::TileDerated { factor, .. } | Fault::NocDegraded { factor } => *factor,
-            Fault::MemThrottled { read_factor, .. } => *read_factor,
-            Fault::TinstStall { cycles, .. } => {
-                let c = *cycles;
-                c as f64
-            }
-        }
-    }
 }
 
 impl std::fmt::Display for Fault {
@@ -294,12 +253,6 @@ impl FaultScenario {
         self.faults.is_empty()
     }
 
-    /// Tile instances removed by kill faults.
-    #[must_use]
-    pub fn tiles_lost(&self) -> u32 {
-        self.faults.iter().filter(|f| matches!(f, Fault::TileKilled { .. })).count() as u32
-    }
-
     /// The mix left after removing killed instances (counts saturate at
     /// zero; a kind driven to zero makes graphs that need it
     /// [`crate::CoreError::Unschedulable`], which callers must handle).
@@ -379,131 +332,6 @@ impl std::fmt::Display for FaultScenario {
     }
 }
 
-/// The result of a resilient run.
-#[derive(Debug, Clone)]
-pub struct ResilientOutcome {
-    /// The completed (possibly degraded) simulation.
-    pub outcome: SimOutcome,
-    /// Faults injected by the scenario.
-    pub faults: usize,
-    /// Whether kills forced a different mix (and thus a reschedule).
-    pub rescheduled: bool,
-    /// The mix the query actually ran on.
-    pub degraded_mix: TileMix,
-}
-
-/// Applies `scenario` to `base`, reschedules the query on the degraded
-/// mix through `plans` (whose key is the demand-clamped mix, so a kill
-/// that bites into the query's demand never reuses a stale schedule or
-/// compiled plan), and runs the timing simulation with the derating
-/// factors active.
-///
-/// Emits [`TraceEvent::FaultInjected`] per fault and
-/// [`TraceEvent::Reschedule`] when kills changed the mix into `sink`,
-/// and bumps `resilience.faults.injected` / `resilience.reschedules` /
-/// `resilience.runs.degraded` counters on `registry`, plus the
-/// `sim.jumps` / `sim.jumped_quanta` / `sim.stepped_quanta` /
-/// `sim.replayed_node_quanta` / `sim.retired_node_quanta` counters
-/// reporting how much of the derated run the event-horizon solver
-/// skipped, how many unretired node-quanta its replay folds ran, and
-/// how many node-quanta retirement skipped.
-///
-/// # Errors
-///
-/// Returns [`crate::CoreError::Unschedulable`] when the degraded mix
-/// can no longer host the graph (callers report, not panic), and
-/// propagates simulation errors.
-#[allow(clippy::too_many_arguments)]
-pub fn run_resilient(
-    graph: &QueryGraph,
-    functional: &FunctionalRun,
-    base: &SimConfig,
-    scenario: &FaultScenario,
-    plans: &PlanCache,
-    tag: u64,
-    mut sink: Option<&mut dyn TraceSink>,
-    registry: Option<&Registry>,
-) -> Result<ResilientOutcome> {
-    if let Some(sink) = sink.as_deref_mut() {
-        for fault in &scenario.faults {
-            sink.record(TraceEvent::FaultInjected {
-                cycle: 0,
-                kind: fault.code(),
-                endpoint: fault.endpoint(),
-                magnitude: fault.magnitude(),
-            });
-        }
-    }
-    if let Some(r) = registry {
-        r.inc("resilience.faults.injected", scenario.faults.len() as u64);
-        if !scenario.is_empty() {
-            r.inc("resilience.runs.degraded", 1);
-        }
-    }
-
-    let degraded = scenario.apply(base);
-    let rescheduled = degraded.mix != base.mix;
-    let plan =
-        plans.get_or_compile(tag, degraded.scheduler, graph, &degraded.mix, &functional.profile)?;
-    if rescheduled {
-        if let Some(sink) = sink.as_deref_mut() {
-            sink.record(TraceEvent::Reschedule {
-                cycle: 0,
-                stages: plan.schedule().tinsts.len() as u32,
-                tiles_lost: scenario.tiles_lost(),
-            });
-        }
-        if let Some(r) = registry {
-            r.inc("resilience.reschedules", 1);
-        }
-    }
-
-    let sim = Simulator::new(&degraded);
-    let mut scratch = SimScratch::new();
-    let obs = Observe { sink, blame: None };
-    let outcome = sim.run_observed(&plan, functional, graph, &mut scratch, obs)?;
-    if let Some(r) = registry {
-        r.inc("sim.jumps", scratch.jumps);
-        r.inc("sim.jumped_quanta", scratch.jumped_quanta);
-        r.inc("sim.stepped_quanta", scratch.stepped_quanta);
-        r.inc("sim.replayed_node_quanta", scratch.replayed_node_quanta);
-        r.inc("sim.retired_node_quanta", scratch.retired_node_quanta);
-    }
-    Ok(ResilientOutcome {
-        outcome,
-        faults: scenario.faults.len(),
-        rescheduled,
-        degraded_mix: degraded.mix,
-    })
-}
-
-/// The serving layer's fallible cycle-estimate entry point: runs
-/// `scenario` against `(graph, functional, base)` through the shared
-/// caches — exactly like [`run_resilient`], but without tracing or
-/// metrics plumbing — and returns only the end-to-end simulated cycle
-/// count.
-///
-/// An empty scenario reproduces the fault-free cycle count exactly
-/// (see [`FaultScenario::apply`]), which lets callers memoize the
-/// healthy baseline and skip re-simulation for fault-free requests.
-///
-/// # Errors
-///
-/// Returns [`crate::CoreError::Unschedulable`] when the degraded mix
-/// can no longer host the graph — the signal a serving layer uses to
-/// fall back to the software path — and propagates simulation errors.
-pub fn estimate_service_cycles(
-    graph: &QueryGraph,
-    functional: &FunctionalRun,
-    base: &SimConfig,
-    scenario: &FaultScenario,
-    plans: &PlanCache,
-    tag: u64,
-) -> Result<u64> {
-    run_resilient(graph, functional, base, scenario, plans, tag, None, None)
-        .map(|run| run.outcome.cycles)
-}
-
 /// The bit pattern of `1.0f64` — the "no derating" factor encoding in a
 /// [`CostKey`].
 fn one_bits() -> u64 {
@@ -519,8 +347,8 @@ fn one_bits() -> u64 {
 /// stall set, see [`ScenarioClass`]) are guaranteed to simulate to the
 /// same cycle count, so service layers can memoize cycles per key
 /// instead of per scenario. Produced by [`ScenarioClassifier::classify`];
-/// turned back into a runnable configuration by
-/// [`estimate_class_cycles`].
+/// the base configuration with [`CostKey::mix`] and [`CostKey::derate`]
+/// swapped in runs it on the canonical mix's plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CostKey {
     /// The canonical tile mix: kills folded in, then clamped to the
@@ -632,7 +460,7 @@ const CAP_SLACK_MARGIN: f64 = 1.0 + 1e-9;
 ///
 /// The classifier exploits four exactness properties of the timing
 /// model, each keeping the class→cycles mapping *bit-identical* to a
-/// fresh [`estimate_service_cycles`] run:
+/// fresh simulation of [`FaultScenario::apply`]'s configuration:
 ///
 /// 1. **Stall exclusion** — per-stage stall cycles are added to the
 ///    total after the stage drains, with no feedback into flow rates,
@@ -642,7 +470,8 @@ const CAP_SLACK_MARGIN: f64 = 1.0 + 1e-9;
 ///    on unused kinds are canonicalized to `1.0`.
 /// 3. **Cap-slack masking** — a derated NoC/memory cap that still
 ///    clears the plan's worst-case per-cycle demand
-///    ([`StagePlan::cap_thresholds`], with [`CAP_SLACK_MARGIN`]) can
+///    ([`StagePlan::cap_thresholds`], with a relative margin of
+///    `1e-9` for float rounding) can
 ///    never clamp any advance: every `min` against it is an identity
 ///    for the derated and the healthy cap alike, so the factor
 ///    canonicalizes to `1.0`. Ideal (uncapped) designs canonicalize
@@ -700,11 +529,10 @@ impl ScenarioClassifier {
     }
 
     /// Canonicalizes `scenario` into its [`ScenarioClass`] for this
-    /// query. `scheduler`, `plans`, and `tag` mirror the arguments a
-    /// fresh [`estimate_service_cycles`] run would use: the canonical
-    /// mix's plan comes from `plans`, and a scheduling error there
-    /// marks the class infeasible.
-    #[must_use]
+    /// query, returned with the canonical mix's plan from `plans` (one
+    /// counted lookup under `tag` and `scheduler`) — the plan that
+    /// simulates the class. A scheduling error there marks the class
+    /// infeasible and is returned in the plan's place.
     pub fn classify(
         &self,
         scenario: &FaultScenario,
@@ -713,16 +541,21 @@ impl ScenarioClassifier {
         scheduler: SchedulerKind,
         plans: &PlanCache,
         tag: u64,
-    ) -> ScenarioClass {
+    ) -> (ScenarioClass, Result<Arc<StagePlan>>) {
         let mix = self.canonical_mix(scenario);
-        let Ok(plan) = plans.get_or_compile(tag, scheduler, graph, &mix, profile) else {
-            // Every scenario whose kills reduce this query to the same
-            // infeasible canonical mix collapses into one failed class.
-            return ScenarioClass {
-                key: CostKey::healthy(mix),
-                stalls: Vec::new(),
-                feasible: false,
-            };
+        let plan = match plans.get_or_compile(tag, scheduler, graph, &mix, profile) {
+            Ok(plan) => plan,
+            Err(e) => {
+                // Every scenario whose kills reduce this query to the
+                // same infeasible canonical mix collapses into one
+                // failed class.
+                let class = ScenarioClass {
+                    key: CostKey::healthy(mix),
+                    stalls: Vec::new(),
+                    feasible: false,
+                };
+                return (class, Err(e));
+            }
         };
         let mut key = CostKey::healthy(mix);
         let mut stalls = Vec::new();
@@ -745,52 +578,24 @@ impl ScenarioClassifier {
                 stalls.pop();
             }
         }
-        ScenarioClass { key, stalls, feasible: true }
+        (ScenarioClass { key, stalls, feasible: true }, Ok(plan))
     }
-}
-
-/// Simulates the cost of one [`CostKey`] on `plan` (the [`PlanCache`]'s
-/// plan for the key's canonical mix): `base` with the key's mix
-/// and derate swapped in, run through the planned timing path. Stall
-/// cycles are *not* part of a key — add [`ScenarioClass::stall_extra`]
-/// to the returned cycles.
-///
-/// # Errors
-///
-/// Propagates simulation errors (callers typically map any error to
-/// [`ServiceCost::Failed`]).
-pub fn estimate_class_cycles(
-    plan: &StagePlan,
-    graph: &QueryGraph,
-    functional: &FunctionalRun,
-    base: &SimConfig,
-    key: &CostKey,
-) -> Result<u64> {
-    let mut cfg = base.clone();
-    cfg.mix = key.mix;
-    cfg.derate = key.derate();
-    let sim = Simulator::new(&cfg);
-    let mut scratch = SimScratch::new();
-    let outcome = sim.run_planned(plan, functional, graph, &mut scratch)?;
-    Ok(outcome.cycles)
 }
 
 /// A thread-safe, bounded memo of [`ServiceCost`]s keyed by *query tag
 /// × [`CostKey`]* — the serving layer's twin of [`PlanCache`] (see
-/// [`BoundedCache`]). The two-phase serve engine uses the split
-/// [`BoundedCache::get`] / [`BoundedCache::insert`]: it batches lookups
-/// per deduplicated key, simulates the misses on a worker pool, and
-/// inserts the fresh costs afterwards.
+/// [`BoundedCache`]). Each cost is one single-flight
+/// [`BoundedCache::get_or_insert_with`], so racing callers simulate a
+/// fresh key once.
 pub type ServiceCostCache = BoundedCache<(u64, CostKey), ServiceCost>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SchedulerKind;
-    use crate::exec::MemoryCatalog;
+    use crate::exec::{FunctionalRun, MemoryCatalog, Observe, SimOutcome, SimScratch, Simulator};
     use crate::isa::CmpOp;
     use q100_columnar::{Column, Table, Value};
-    use q100_trace::RingRecorder;
+    use q100_trace::{RingRecorder, TraceEvent};
     use std::collections::HashMap;
 
     fn catalog() -> MemoryCatalog {
@@ -845,6 +650,20 @@ mod tests {
         }
     }
 
+    /// Runs `cfg` the way sweeps do: the plan from `plans` (keyed on
+    /// the demand-clamped mix), then the timing kernel on that plan.
+    fn run_cached(
+        g: &QueryGraph,
+        functional: &FunctionalRun,
+        cfg: &SimConfig,
+        plans: &PlanCache,
+        sink: Option<&mut dyn q100_trace::TraceSink>,
+    ) -> Result<SimOutcome> {
+        let plan = plans.get_or_compile(0, cfg.scheduler, g, &cfg.mix, &functional.profile)?;
+        let obs = Observe { sink, blame: None };
+        Simulator::new(cfg).run_observed(&plan, functional, g, &mut SimScratch::new(), obs)
+    }
+
     #[test]
     fn resilient_run_without_faults_matches_baseline_exactly() {
         let cat = catalog();
@@ -855,14 +674,14 @@ mod tests {
         let functional = crate::exec::execute(&g, &cat).unwrap();
         let plans = PlanCache::new();
         let scenario = FaultScenario::generate(42, 0.0, &base.mix);
-        let run = run_resilient(&g, &functional, &base, &scenario, &plans, 0, None, None).unwrap();
-        assert_eq!(run.outcome.cycles, baseline.cycles);
-        assert!(!run.rescheduled);
-        assert_eq!(run.degraded_mix, base.mix);
+        let cfg = scenario.apply(&base);
+        let run = run_cached(&g, &functional, &cfg, &plans, None).unwrap();
+        assert_eq!(run.cycles, baseline.cycles);
+        assert_eq!(cfg.mix, base.mix, "no kill, no reschedule");
     }
 
     #[test]
-    fn derated_run_is_slower_and_emits_events() {
+    fn derated_run_is_slower_and_emits_degraded_quanta() {
         let cat = catalog();
         let g = graph();
         let base = SimConfig::pareto();
@@ -877,31 +696,18 @@ mod tests {
             faults.push(Fault::TileDerated { kind, factor: 0.5 });
         }
         let scenario = FaultScenario { faults };
-        let registry = Registry::new();
+        let cfg = scenario.apply(&base);
         let mut rec = RingRecorder::new();
-        let run = run_resilient(
-            &g,
-            &functional,
-            &base,
-            &scenario,
-            &plans,
-            0,
-            Some(&mut rec),
-            Some(&registry),
-        )
-        .unwrap();
+        let run = run_cached(&g, &functional, &cfg, &plans, Some(&mut rec)).unwrap();
         assert!(
-            run.outcome.cycles > baseline.cycles,
+            run.cycles > baseline.cycles,
             "derated {} vs baseline {}",
-            run.outcome.cycles,
+            run.cycles,
             baseline.cycles
         );
-        assert_eq!(registry.counter("resilience.faults.injected"), 12);
-        let events = rec.events();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::FaultInjected { kind: 4, magnitude, .. } if *magnitude == 500.0)));
-        assert!(events.iter().any(|e| matches!(e, TraceEvent::DegradedQuantum { .. })));
+        let fresh = Simulator::new(&cfg).run_profiled(&g, &functional).unwrap();
+        assert_eq!(run.timing, fresh.timing, "the cached plan times like a fresh schedule");
+        assert!(rec.events().iter().any(|e| matches!(e, TraceEvent::DegradedQuantum { .. })));
     }
 
     #[test]
@@ -915,28 +721,12 @@ mod tests {
         let plans = PlanCache::new();
         let scenario =
             FaultScenario { faults: vec![Fault::TileKilled { kind: TileKind::ColFilter }] };
-        let err =
-            run_resilient(&g, &functional, &base, &scenario, &plans, 0, None, None).unwrap_err();
+        let cfg = scenario.apply(&base);
+        let err = run_cached(&g, &functional, &cfg, &plans, None).unwrap_err();
         assert!(matches!(err, crate::CoreError::Unschedulable { .. }), "got {err}");
-    }
-
-    #[test]
-    fn estimate_service_cycles_matches_baseline_and_types_unschedulable() {
-        let cat = catalog();
-        let g = graph();
-        let base = SimConfig::pareto();
-        let functional = crate::exec::execute(&g, &cat).unwrap();
-        let plans = PlanCache::new();
-
-        let baseline = Simulator::new(&base).run_profiled(&g, &functional).unwrap();
-        let empty = FaultScenario::default();
-        let cycles = estimate_service_cycles(&g, &functional, &base, &empty, &plans, 0).unwrap();
-        assert_eq!(cycles, baseline.cycles, "empty scenario must reproduce the baseline");
-
-        // A killed required kind surfaces as a typed error, never a panic.
-        let tight = SimConfig::new(TileMix::uniform(1));
-        let kill = FaultScenario { faults: vec![Fault::TileKilled { kind: TileKind::ColFilter }] };
-        let err = estimate_service_cycles(&g, &functional, &tight, &kill, &plans, 0).unwrap_err();
+        assert!(plans.is_empty());
+        // A fresh, uncached run types the failure the same way.
+        let err = Simulator::new(&cfg).run_profiled(&g, &functional).unwrap_err();
         assert!(matches!(err, crate::CoreError::Unschedulable { .. }), "got {err}");
     }
 
@@ -953,9 +743,12 @@ mod tests {
             .unwrap();
         let scenario =
             FaultScenario { faults: vec![Fault::TileKilled { kind: TileKind::ColSelect }] };
-        let run = run_resilient(&g, &functional, &base, &scenario, &plans, 0, None, None).unwrap();
-        assert!(run.rescheduled);
-        assert_eq!(run.degraded_mix.count(TileKind::ColSelect), 1);
+        let cfg = scenario.apply(&base);
+        assert_ne!(cfg.mix, base.mix, "a kill below demand reschedules");
+        assert_eq!(cfg.mix.count(TileKind::ColSelect), 1);
+        let run = run_cached(&g, &functional, &cfg, &plans, None).unwrap();
+        let fresh = Simulator::new(&cfg).run_profiled(&g, &functional).unwrap();
+        assert_eq!(run.timing, fresh.timing);
         assert_eq!(plans.len(), 2, "degraded mix must get its own cache entry");
     }
 
@@ -976,15 +769,17 @@ mod tests {
             Bench { g, functional, base, plans: PlanCache::new(), classifier }
         }
 
+        fn classify_with_plan(
+            &self,
+            scenario: &FaultScenario,
+        ) -> (ScenarioClass, Result<Arc<StagePlan>>) {
+            let profile = &self.functional.profile;
+            let scheduler = self.base.scheduler;
+            self.classifier.classify(scenario, &self.g, profile, scheduler, &self.plans, 0)
+        }
+
         fn classify(&self, scenario: &FaultScenario) -> ScenarioClass {
-            self.classifier.classify(
-                scenario,
-                &self.g,
-                &self.functional.profile,
-                self.base.scheduler,
-                &self.plans,
-                0,
-            )
+            self.classify_with_plan(scenario).0
         }
     }
 
@@ -1089,33 +884,37 @@ mod tests {
     #[test]
     fn cached_class_cost_reproduces_fresh_estimates() {
         // Property: for any generated scenario, simulating its canonical
-        // class (plus the stall carry) gives exactly the cycles a fresh
-        // per-scenario estimate produces — on a capped and an uncapped
-        // design, across feasible and infeasible draws.
+        // class on the plan `classify` returns (plus the stall carry)
+        // gives exactly the cycles of a fresh, uncached run of the whole
+        // degraded configuration — scheduled on the unclamped degraded
+        // mix — on a capped and an uncapped design, across feasible and
+        // infeasible draws.
         for base in [SimConfig::new(TileMix::uniform(2)), SimConfig::pareto()] {
             let b = Bench::new(base);
             for seed in 0..48u64 {
                 let scenario = FaultScenario::generate(seed, 0.35, &b.base.mix);
                 let fresh =
-                    estimate_service_cycles(&b.g, &b.functional, &b.base, &scenario, &b.plans, 0);
-                let class = b.classify(&scenario);
-                if class.feasible {
-                    let profile = &b.functional.profile;
-                    let plan = b
-                        .plans
-                        .get_or_compile(0, b.base.scheduler, &b.g, &class.key.mix, profile)
-                        .unwrap();
-                    let cycles =
-                        estimate_class_cycles(&plan, &b.g, &b.functional, &b.base, &class.key)
-                            .unwrap()
-                            + class.stall_extra();
+                    Simulator::new(&scenario.apply(&b.base)).run_profiled(&b.g, &b.functional);
+                let (class, plan) = b.classify_with_plan(&scenario);
+                assert_eq!(class.feasible, plan.is_ok(), "seed {seed}");
+                if let Ok(plan) = plan {
+                    let cfg = SimConfig {
+                        mix: class.key.mix,
+                        derate: class.key.derate(),
+                        ..b.base.clone()
+                    };
+                    let cycles = Simulator::new(&cfg)
+                        .run_planned(&plan, &b.functional, &b.g, &mut SimScratch::new())
+                        .unwrap()
+                        .cycles
+                        + class.stall_extra();
                     assert_eq!(
-                        fresh.as_ref().copied().unwrap(),
+                        fresh.as_ref().unwrap().cycles,
                         cycles,
-                        "seed {seed}: cached class cost diverged from fresh estimate"
+                        "seed {seed}: cached class cost diverged from a fresh run"
                     );
                 } else {
-                    assert!(fresh.is_err(), "seed {seed}: infeasible class but fresh estimate ran");
+                    assert!(fresh.is_err(), "seed {seed}: infeasible class but fresh run ran");
                 }
             }
         }

@@ -1,6 +1,7 @@
 //! The semi-exhaustive scheduler.
 
 use crate::config::TileMix;
+use crate::error::{CoreError, Result};
 use crate::exec::functional::GraphProfile;
 use crate::isa::graph::{NodeId, QueryGraph};
 use crate::sched::Schedule;
@@ -34,15 +35,20 @@ struct Partial {
 /// and finally returns the
 /// completed schedule with the fewest spilled bytes (ties: fewer
 /// stages).
-#[must_use]
+///
+/// # Errors
+///
+/// Returns [`CoreError::Internal`] if the search completes no schedule
+/// (every beam step places at least one node on a feasible mix, so this
+/// is a bug).
 pub fn schedule_semi_exhaustive(
     graph: &QueryGraph,
     mix: &TileMix,
     profile: &GraphProfile,
-) -> Schedule {
+) -> Result<Schedule> {
     let n = graph.len();
     if n == 0 {
-        return Schedule::from_stages(Vec::new());
+        return Ok(Schedule::from_stages(Vec::new()));
     }
     // Large graphs force heavier pruning — the paper observes the same
     // ("Q1, Q17, and Q19 ... are so large that the semi-exhaustive
@@ -80,11 +86,12 @@ pub fn schedule_semi_exhaustive(
         beam = next;
     }
 
-    let (_, _, stage_of) = completed
-        .into_iter()
-        .min_by_key(|(spill, stages, ids)| (*spill, *stages, ids.clone()))
-        .expect("beam search always completes at least one schedule");
-    Schedule::from_stages(stage_of)
+    let Some((_, _, stage_of)) =
+        completed.into_iter().min_by_key(|(spill, stages, ids)| (*spill, *stages, ids.clone()))
+    else {
+        return Err(CoreError::Internal("beam search completed no schedule".into()));
+    };
+    Ok(Schedule::from_stages(stage_of))
 }
 
 /// Packs `p.stage` greedily using one of six candidate orderings.
@@ -110,9 +117,6 @@ fn fill_stage(
                     }
             })
             .collect();
-        if candidates.is_empty() {
-            break;
-        }
         let key = |id: NodeId| -> u64 {
             graph.node(id).inputs.iter().map(|q| profile.edge_bytes(q.node, q.port)).sum()
         };
@@ -125,25 +129,26 @@ fn fill_stage(
                 .map(|q| profile.edge_bytes(q.node, q.port))
                 .sum()
         };
+        // No candidate left ends the stage.
         let chosen = match variant {
-            0 => candidates[0],
-            1 => *candidates.iter().max_by_key(|&&id| (key(id), std::cmp::Reverse(id))).unwrap(),
-            2 => *candidates.iter().min_by_key(|&&id| (key(id), id)).unwrap(),
-            3 => {
-                *candidates.iter().max_by_key(|&&id| (resident(id), std::cmp::Reverse(id))).unwrap()
-            }
-            4 => *candidates.last().unwrap(),
+            0 => candidates.first().copied(),
+            1 => candidates.iter().copied().max_by_key(|&id| (key(id), std::cmp::Reverse(id))),
+            2 => candidates.iter().copied().min_by_key(|&id| (key(id), id)),
+            3 => candidates.iter().copied().max_by_key(|&id| (resident(id), std::cmp::Reverse(id))),
+            4 => candidates.last().copied(),
             _ => {
                 // Variant 5: defer the heaviest candidate once, exploring
                 // schedules the pure-greedy orders cannot reach.
                 if !skipped_once && candidates.len() > 1 {
                     skipped_once = true;
-                    let heavy = *candidates.iter().max_by_key(|&&id| key(id)).unwrap();
-                    candidates.retain(|&id| id != heavy);
+                    if let Some(heavy) = candidates.iter().copied().max_by_key(|&id| key(id)) {
+                        candidates.retain(|&id| id != heavy);
+                    }
                 }
-                candidates[0]
+                candidates.first().copied()
             }
         };
+        let Some(chosen) = chosen else { break };
         let k = graph.node(chosen).op.tile_kind();
         used[k as usize] += 1;
         p.stage_of[chosen] = p.stage;
@@ -212,7 +217,7 @@ mod tests {
         let (g, profile) = diamond();
         for n in 1..=4 {
             let mix = TileMix::uniform(n);
-            let s = schedule_semi_exhaustive(&g, &mix, &profile);
+            let s = schedule_semi_exhaustive(&g, &mix, &profile).unwrap();
             s.validate(&g, &mix).unwrap();
         }
     }
@@ -222,7 +227,8 @@ mod tests {
         let (g, profile) = diamond();
         for n in 1..=3 {
             let mix = TileMix::uniform(n);
-            let se = schedule_semi_exhaustive(&g, &mix, &profile).spill_bytes(&g, &profile);
+            let se =
+                schedule_semi_exhaustive(&g, &mix, &profile).unwrap().spill_bytes(&g, &profile);
             let na = schedule_naive(&g, &mix).spill_bytes(&g, &profile);
             let da = schedule_data_aware(&g, &mix, &profile).spill_bytes(&g, &profile);
             assert!(se <= na, "semi-exhaustive {se} > naive {na} at capacity {n}");
@@ -233,7 +239,8 @@ mod tests {
     #[test]
     fn empty_graph_schedules_to_zero_stages() {
         let g = QueryGraph::builder("e").finish().unwrap();
-        let s = schedule_semi_exhaustive(&g, &TileMix::uniform(1), &GraphProfile::default());
+        let s =
+            schedule_semi_exhaustive(&g, &TileMix::uniform(1), &GraphProfile::default()).unwrap();
         assert_eq!(s.stages(), 0);
     }
 
@@ -241,8 +248,8 @@ mod tests {
     fn is_deterministic() {
         let (g, profile) = diamond();
         let mix = TileMix::uniform(1);
-        let a = schedule_semi_exhaustive(&g, &mix, &profile);
-        let b = schedule_semi_exhaustive(&g, &mix, &profile);
+        let a = schedule_semi_exhaustive(&g, &mix, &profile).unwrap();
+        let b = schedule_semi_exhaustive(&g, &mix, &profile).unwrap();
         assert_eq!(a, b);
     }
 }

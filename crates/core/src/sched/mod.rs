@@ -210,7 +210,7 @@ pub fn schedule(
     let s = match kind {
         SchedulerKind::Naive => schedule_naive(graph, mix),
         SchedulerKind::DataAware => schedule_data_aware(graph, mix, profile),
-        SchedulerKind::SemiExhaustive => schedule_semi_exhaustive(graph, mix, profile),
+        SchedulerKind::SemiExhaustive => schedule_semi_exhaustive(graph, mix, profile)?,
     };
     debug_assert!(s.validate(graph, mix).is_ok());
     Ok(s)

@@ -163,7 +163,14 @@ pub fn point_seed(seed: u64, design: usize, rate: usize, query: usize) -> u64 {
 }
 
 /// Runs the full study: fault-free baselines for every design, then
-/// every `(design, rate, query)` scenario across the worker pool.
+/// every `(design, rate, query)` scenario across the worker pool. Each
+/// scenario's degraded configuration ([`FaultScenario::apply`]) runs
+/// through [`Workload::try_simulate`] like any sweep point, sharing its
+/// plan cache and timing memo.
+///
+/// Bumps `resilience.faults.injected` by every point's fault count,
+/// `resilience.runs.degraded` for every point with a fault, and
+/// `resilience.reschedules` for every rescheduled point that ran.
 ///
 /// Unschedulable degraded machines become failed points; any other
 /// simulation error is also recorded (none occur today, but a sweep
@@ -186,24 +193,37 @@ pub fn study(workload: &Workload, seed: u64, rates: &[f64]) -> ResilienceStudy {
             let rate = rates[r];
             let prepared = &workload.queries[q];
             let scenario = FaultScenario::generate(point_seed(seed, d, r, q), rate, &config.mix);
-            let point = match workload.simulate_resilient(prepared, config, &scenario) {
-                Ok(out) => ResiliencePoint {
-                    design,
-                    rate,
-                    query: prepared.query.name,
-                    faults: out.faults,
-                    rescheduled: out.rescheduled,
-                    cycles: Some(out.outcome.cycles),
-                    error: None,
-                    baseline_cycles: baselines[d][q].cycles,
-                },
-                Err(e) => {
-                    workload.metrics().inc("resilience.unschedulable", 1);
+            let faults = scenario.faults.len();
+            let metrics = workload.metrics();
+            metrics.inc("resilience.faults.injected", faults as u64);
+            if faults > 0 {
+                metrics.inc("resilience.runs.degraded", 1);
+            }
+            let degraded = scenario.apply(config);
+            let rescheduled = degraded.mix != config.mix;
+            let point = match workload.try_simulate(prepared, &degraded) {
+                Ok(outcome) => {
+                    if rescheduled {
+                        metrics.inc("resilience.reschedules", 1);
+                    }
                     ResiliencePoint {
                         design,
                         rate,
                         query: prepared.query.name,
-                        faults: scenario.faults.len(),
+                        faults,
+                        rescheduled,
+                        cycles: Some(outcome.cycles),
+                        error: None,
+                        baseline_cycles: baselines[d][q].cycles,
+                    }
+                }
+                Err(e) => {
+                    metrics.inc("resilience.unschedulable", 1);
+                    ResiliencePoint {
+                        design,
+                        rate,
+                        query: prepared.query.name,
+                        faults,
                         rescheduled: false,
                         cycles: None,
                         error: Some(match e {
@@ -279,5 +299,21 @@ mod tests {
                 None => assert!(p.error.as_deref().unwrap_or("").contains("unschedulable")),
             }
         }
+    }
+
+    #[test]
+    fn resilience_counters_count_faults_degraded_runs_and_reschedules() {
+        let w = Workload::prepare_subset(0.002, &["q6", "q1"]);
+        let s = study(&w, 42, &[0.0, 0.3, 1.0]);
+        let count = |f: &dyn Fn(&ResiliencePoint) -> bool| s.points.iter().filter(|p| f(p)).count();
+        let m = w.metrics();
+        let faults: usize = s.points.iter().map(|p| p.faults).sum();
+        assert_eq!(m.counter("resilience.faults.injected"), faults as u64);
+        assert_eq!(m.counter("resilience.runs.degraded"), count(&|p| p.faults > 0) as u64);
+        let rescheduled = count(&|p| p.rescheduled && p.cycles.is_some());
+        assert!(rescheduled > 0, "some kill must reschedule");
+        assert_eq!(m.counter("resilience.reschedules"), rescheduled as u64);
+        let failed = count(&|p| p.cycles.is_none());
+        assert_eq!(m.counter("resilience.unschedulable"), failed as u64);
     }
 }

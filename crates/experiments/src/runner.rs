@@ -194,22 +194,18 @@ impl Workload {
     /// Resolves the compiled [`StagePlan`] for `(prepared, config)`,
     /// scheduling and compiling on the first sight of this (query,
     /// scheduler, clamped mix) key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration cannot run the query (all evaluation
-    /// configurations can).
-    #[must_use]
-    fn plan(&self, prepared: &PreparedQuery, config: &SimConfig) -> Arc<StagePlan> {
-        self.plan_cache
-            .get_or_compile(
-                prepared.index as u64,
-                config.scheduler,
-                &prepared.graph,
-                &config.mix,
-                &prepared.functional.profile,
-            )
-            .unwrap_or_else(|e| panic!("{}: scheduling failed: {e}", prepared.query.name))
+    fn plan(
+        &self,
+        prepared: &PreparedQuery,
+        config: &SimConfig,
+    ) -> q100_core::Result<Arc<StagePlan>> {
+        self.plan_cache.get_or_compile(
+            prepared.index as u64,
+            config.scheduler,
+            &prepared.graph,
+            &config.mix,
+            &prepared.functional.profile,
+        )
     }
 
     /// Simulates one prepared query under `config`, reusing a memoized
@@ -222,9 +218,30 @@ impl Workload {
     /// # Panics
     ///
     /// Panics if the configuration cannot run the query (all evaluation
-    /// configurations can).
+    /// configurations can); [`try_simulate`](Self::try_simulate) returns
+    /// the error instead.
     #[must_use]
     pub fn simulate(&self, prepared: &PreparedQuery, config: &SimConfig) -> SimOutcome {
+        expect_run(prepared, self.try_simulate(prepared, config))
+    }
+
+    /// [`simulate`](Self::simulate), returning the failure instead of
+    /// panicking. A fault scenario's degraded configuration
+    /// ([`q100_core::FaultScenario::apply`]) runs through here like any
+    /// other: killed tiles reschedule on the degraded mix (the plan
+    /// cache keys on the demand-clamped mix), and the derate and stalls
+    /// are part of the timing memo's key.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`q100_core::CoreError::Unschedulable`] when the mix
+    /// lacks a tile kind the query needs, and propagates simulation
+    /// errors.
+    pub fn try_simulate(
+        &self,
+        prepared: &PreparedQuery,
+        config: &SimConfig,
+    ) -> q100_core::Result<SimOutcome> {
         self.simulate_observed(prepared, config, Observe::default())
     }
 
@@ -244,7 +261,7 @@ impl Workload {
     ) -> (SimOutcome, TraceStream) {
         let mut recorder = RingRecorder::new();
         let obs = Observe { sink: Some(&mut recorder), blame: None };
-        let outcome = self.simulate_observed(prepared, config, obs);
+        let outcome = expect_run(prepared, self.simulate_observed(prepared, config, obs));
         if recorder.dropped() > 0 {
             eprintln!(
                 "warning: {} trace overflowed, {} oldest events dropped",
@@ -272,34 +289,35 @@ impl Workload {
     ) -> (SimOutcome, q100_core::trace::BlameReport) {
         let mut recorder = BlameRecorder::new();
         let obs = Observe { sink: None, blame: Some(&mut recorder) };
-        let outcome = self.simulate_observed(prepared, config, obs);
+        let outcome = expect_run(prepared, self.simulate_observed(prepared, config, obs));
         let report = recorder.report(&outcome.timing, &config.mix);
         (outcome, report)
     }
 
-    /// The one body behind [`simulate`](Self::simulate), [`simulate_traced`](Self::simulate_traced) and
+    /// The one body behind [`try_simulate`](Self::try_simulate),
+    /// [`simulate_traced`](Self::simulate_traced) and
     /// [`simulate_blamed`]: memoized plan, timing from the memo or from
-    /// this worker's scratch, and the `sim.runs` / `sim.cycles` metrics.
-    /// Runs with a trace sink or a blame recorder need their ledger, so
-    /// they always reach the kernel and never touch the timing memo.
+    /// this worker's scratch, and the `sim.runs` / `sim.cycles` metrics
+    /// of each successful run. Runs with a trace sink or a blame
+    /// recorder need their ledger, so they always reach the kernel and
+    /// never touch the timing memo.
     fn simulate_observed(
         &self,
         prepared: &PreparedQuery,
         config: &SimConfig,
         obs: Observe<'_>,
-    ) -> SimOutcome {
-        let plan = self.plan(prepared, config);
+    ) -> q100_core::Result<SimOutcome> {
+        let plan = self.plan(prepared, config)?;
         let timing = if obs.sink.is_none() && obs.blame.is_none() {
             self.memoized_timing(prepared, &plan, config)
         } else {
             self.run_kernel(&plan, config, obs)
-        }
-        .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", prepared.query.name));
+        }?;
         let outcome =
             Simulator::new(config).outcome(&plan, &prepared.functional, &prepared.graph, timing);
         self.metrics.inc("sim.runs", 1);
         self.metrics.observe("sim.cycles", outcome.cycles as f64);
-        outcome
+        Ok(outcome)
     }
 
     /// The timing of `plan` under `config` from the timing memo, run
@@ -350,38 +368,6 @@ impl Workload {
     #[must_use]
     pub fn trace_all(&self, config: &SimConfig) -> Vec<TraceStream> {
         self.queries.iter().map(|p| self.simulate_traced(p, config).1).collect()
-    }
-
-    /// Simulates one prepared query under `base` with `scenario`'s
-    /// faults injected — killed tiles reschedule on the degraded mix
-    /// (through the shared plan cache, which keys on the demand-clamped
-    /// mix), deratings slow the fluid timing layer. The
-    /// timing memo is not consulted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`q100_core::CoreError::Unschedulable`] when the faults
-    /// removed a tile kind the query needs; resilience sweeps record
-    /// that as a data point rather than aborting.
-    pub fn simulate_resilient(
-        &self,
-        prepared: &PreparedQuery,
-        base: &SimConfig,
-        scenario: &q100_core::FaultScenario,
-    ) -> q100_core::Result<q100_core::ResilientOutcome> {
-        let out = q100_core::run_resilient(
-            &prepared.graph,
-            &prepared.functional,
-            base,
-            scenario,
-            &self.plan_cache,
-            prepared.index as u64,
-            None,
-            Some(&self.metrics),
-        )?;
-        self.metrics.inc("sim.runs", 1);
-        self.metrics.observe("sim.cycles", out.outcome.cycles as f64);
-        Ok(out)
     }
 
     /// Simulates one prepared query bypassing every cache (schedules,
@@ -459,8 +445,7 @@ impl Workload {
     }
 
     /// Quantum-jump totals accumulated by every simulation this
-    /// workload has run (including resilient runs, which report through
-    /// the shared registry). Timing-memo hits run no simulation and add
+    /// workload has run. Timing-memo hits run no simulation and add
     /// nothing.
     #[must_use]
     pub fn jump_stats(&self) -> JumpStats {
@@ -508,6 +493,15 @@ impl Workload {
     pub fn names(&self) -> Vec<&'static str> {
         self.queries.iter().map(|p| p.query.name).collect()
     }
+}
+
+/// The outcome of a run that all evaluation configurations can make.
+///
+/// # Panics
+///
+/// Panics with the query's name when `run` failed.
+fn expect_run(prepared: &PreparedQuery, run: q100_core::Result<SimOutcome>) -> SimOutcome {
+    run.unwrap_or_else(|e| panic!("{}: simulation failed: {e}", prepared.query.name))
 }
 
 /// The three named design points of the paper's evaluation.

@@ -75,9 +75,10 @@ fn paper_design_blame_is_pinned() {
 
 /// Derated golden pins: exact cycle counts for the pinned queries on
 /// the Pareto design under a 10%-rate fault scenario (seeded per
-/// query), running through the full resilience path — killed tiles
-/// reschedule, surviving tiles and links derate, and the event-horizon
-/// solver folds the derated quanta. Regenerate like `GOLDEN`.
+/// query), running the scenario's degraded configuration through the
+/// sweep path — killed tiles reschedule, surviving tiles and links
+/// derate, and the event-horizon solver folds the derated quanta.
+/// Regenerate like `GOLDEN`.
 const GOLDEN_DERATED: [(&str, u64); 3] = [("q1", 582_302), ("q6", 61_988), ("q14", 77_826)];
 
 #[test]
@@ -89,9 +90,9 @@ fn derated_pareto_cycles_are_pinned() {
     for (qi, (prepared, (name, _))) in w.queries.iter().zip(&GOLDEN_DERATED).enumerate() {
         let scenario = q100_core::FaultScenario::generate(0x9E37 + qi as u64, 0.10, &pareto.mix);
         let out = w
-            .simulate_resilient(prepared, pareto, &scenario)
+            .try_simulate(prepared, &scenario.apply(pareto))
             .unwrap_or_else(|e| panic!("{name}: derated run unschedulable: {e}"));
-        actual.push((*name, out.outcome.cycles));
+        actual.push((*name, out.cycles));
     }
     assert_eq!(
         actual,
@@ -191,9 +192,9 @@ fn whole_timing_results_are_pinned() {
         digests[3] = timing_digest(&w.simulate(prepared, &noc_capped).timing);
         let scenario = q100_core::FaultScenario::generate(0x9E37 + qi as u64, 0.10, &pareto.mix);
         let derated = w
-            .simulate_resilient(prepared, pareto, &scenario)
+            .try_simulate(prepared, &scenario.apply(pareto))
             .unwrap_or_else(|e| panic!("{name}: derated run unschedulable: {e}"));
-        digests[4] = timing_digest(&derated.outcome.timing);
+        digests[4] = timing_digest(&derated.timing);
         actual.push((*name, digests));
     }
     assert_eq!(

@@ -1,9 +1,11 @@
 //! The served device: a Q100 design plus the query table it serves.
 
+use std::sync::Arc;
+
 use q100_core::{
-    estimate_class_cycles, estimate_service_cycles, CostKey, FaultScenario, FunctionalRun,
-    PlanCache, QueryGraph, Result, ScenarioClassifier, ServiceCost, ServiceCostCache, SimConfig,
-    FREQUENCY_MHZ,
+    simulate_plan, CoreError, CostKey, FaultScenario, FunctionalRun, Observe, PlanCache,
+    QueryGraph, Result, ScenarioClassifier, ServiceCost, ServiceCostCache, SimConfig, SimScratch,
+    StagePlan, FREQUENCY_MHZ,
 };
 use q100_dbms::SoftwareCost;
 
@@ -23,7 +25,7 @@ pub struct ServiceQuery<'w> {
 }
 
 /// One resolved cost probe (see [`Q100Device::probe_cost`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CostProbe {
     /// The canonical cost key the scenario collapsed to.
     pub key: CostKey,
@@ -32,6 +34,9 @@ pub struct CostProbe {
     /// `Some` when the cost is already decided without consulting the
     /// cost cache: the fault-free baseline, or an infeasible class.
     pub known: Option<ServiceCost>,
+    /// The key's plan (its canonical mix's), fetched by the probe;
+    /// `None` when the cost is known.
+    pub plan: Option<Arc<StagePlan>>,
 }
 
 /// The resident-entry bound of a device's plan and cost caches.
@@ -68,10 +73,12 @@ pub struct Q100Device<'w> {
 
 impl<'w> Q100Device<'w> {
     /// Builds a device for `config`, validating it and precomputing the
-    /// fault-free baseline cycle count of every query (this also warms
-    /// the plan cache and seeds the cost cache with each
-    /// query's healthy class, so serving-time estimates only pay for
-    /// fault-specific simulation).
+    /// fault-free baseline cycle count of every query as the cost of
+    /// its healthy class (through [`Q100Device::cost`], so the plan
+    /// cache holds each healthy plan and the cost cache each healthy
+    /// class: scenarios whose faults are invisible to the simulator
+    /// collapse onto these and never simulate). The stats reset keeps
+    /// the baselines out of the reported cost misses.
     ///
     /// # Errors
     ///
@@ -80,73 +87,54 @@ impl<'w> Q100Device<'w> {
     pub fn new(config: SimConfig, queries: Vec<ServiceQuery<'w>>) -> Result<Self> {
         config.validate()?;
         let plans = PlanCache::with_capacity(CACHE_BOUND);
-        let empty = FaultScenario { faults: Vec::new() };
-        let mut baseline_cycles = Vec::with_capacity(queries.len());
-        for (tag, q) in queries.iter().enumerate() {
-            baseline_cycles.push(estimate_service_cycles(
-                q.graph,
-                q.functional,
-                &config,
-                &empty,
-                &plans,
-                tag as u64,
-            )?);
-        }
-        // Seed the cost cache with the canonical healthy class of every
-        // query: scenarios whose faults are invisible to the simulator
-        // (masked derates, clamped-away kills, stall-only scenarios)
-        // collapse onto these keys and never simulate. The stats reset
-        // keeps seeded entries out of the reported miss counts.
-        let costs = ServiceCostCache::with_capacity(CACHE_BOUND);
+        let healthy = FaultScenario::default();
         let mut classifiers = Vec::with_capacity(queries.len());
-        let mut healthy_keys = Vec::with_capacity(queries.len());
+        let mut probes = Vec::with_capacity(queries.len());
         for (tag, q) in queries.iter().enumerate() {
             let classifier = ScenarioClassifier::new(q.graph, &config);
-            let class = classifier.classify(
-                &empty,
+            let (class, plan) = classifier.classify(
+                &healthy,
                 q.graph,
                 &q.functional.profile,
                 config.scheduler,
                 &plans,
                 tag as u64,
             );
-            costs.insert((tag as u64, class.key), ServiceCost::Cycles(baseline_cycles[tag]));
-            healthy_keys.push(class.key);
+            probes.push(CostProbe {
+                key: class.key,
+                stall_extra: 0,
+                known: None,
+                plan: Some(plan?),
+            });
             classifiers.push(classifier);
         }
-        costs.reset_stats();
-        Ok(Q100Device { config, queries, plans, baseline_cycles, classifiers, healthy_keys, costs })
-    }
-
-    /// Device cycles to run query `query` under `scenario`. An empty
-    /// scenario returns the memoized fault-free baseline (the resilience
-    /// layer guarantees it is byte-identical to a fresh estimate).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`q100_core::CoreError::Unschedulable`] when the faulted
-    /// mix can no longer host the query — the caller's signal to fall
-    /// back to the software baseline.
-    pub fn service_cycles(&self, query: usize, scenario: &FaultScenario) -> Result<u64> {
-        if scenario.is_empty() {
-            return Ok(self.baseline_cycles[query]);
+        let healthy_keys = probes.iter().map(|p| p.key).collect();
+        let costs = ServiceCostCache::with_capacity(CACHE_BOUND);
+        let mut device = Q100Device {
+            config,
+            queries,
+            plans,
+            baseline_cycles: Vec::new(),
+            classifiers,
+            healthy_keys,
+            costs,
+        };
+        for (query, probe) in probes.iter().enumerate() {
+            let ServiceCost::Cycles(cycles) = device.cost(query, probe) else {
+                let name = &device.queries[query].name;
+                return Err(CoreError::Internal(format!("{name}: the healthy baseline failed")));
+            };
+            device.baseline_cycles.push(cycles);
         }
-        let q = &self.queries[query];
-        estimate_service_cycles(
-            q.graph,
-            q.functional,
-            &self.config,
-            scenario,
-            &self.plans,
-            query as u64,
-        )
+        device.costs.reset_stats();
+        Ok(device)
     }
 
     /// Canonicalizes `scenario` against `query` without simulating: the
     /// returned probe either carries the decided cost (fault-free
-    /// baseline, infeasible class) or the [`CostKey`] to resolve via
-    /// [`Q100Device::cost_cache`] / [`Q100Device::class_cost`], plus
-    /// the stall cycles to add on top of the keyed cost.
+    /// baseline, infeasible class) or the [`CostKey`] and plan to
+    /// resolve through [`Q100Device::cost`], plus the stall cycles to
+    /// add on top of the keyed cost.
     #[must_use]
     pub fn probe_cost(&self, query: usize, scenario: &FaultScenario) -> CostProbe {
         if scenario.is_empty() {
@@ -154,10 +142,11 @@ impl<'w> Q100Device<'w> {
                 key: self.healthy_keys[query],
                 stall_extra: 0,
                 known: Some(ServiceCost::Cycles(self.baseline_cycles[query])),
+                plan: None,
             };
         }
         let q = &self.queries[query];
-        let class = self.classifiers[query].classify(
+        let (class, plan) = self.classifiers[query].classify(
             scenario,
             q.graph,
             &q.functional.profile,
@@ -165,33 +154,35 @@ impl<'w> Q100Device<'w> {
             &self.plans,
             query as u64,
         );
-        let known = if class.feasible { None } else { Some(ServiceCost::Failed) };
-        CostProbe { key: class.key, stall_extra: class.stall_extra(), known }
+        let (known, plan) = match plan {
+            Ok(plan) => (None, Some(plan)),
+            Err(_) => (Some(ServiceCost::Failed), None),
+        };
+        CostProbe { key: class.key, stall_extra: class.stall_extra(), known, plan }
     }
 
-    /// Simulates the cost of one canonical class (a cost-cache miss).
-    /// Pure in `(query, key)` and safe to call from worker threads.
+    /// The stall-free cost of `probe` for `query`: its known cost, or
+    /// one single-flight lookup of `(query, key)` in the cost cache
+    /// that simulates the key on the probe's plan on a miss (the base
+    /// configuration with the key's mix and derate swapped in). Pure
+    /// in `(query, key)` and safe to call from worker threads: racing
+    /// callers of one fresh key simulate it once.
     #[must_use]
-    pub fn class_cost(&self, query: usize, key: &CostKey) -> ServiceCost {
-        let q = &self.queries[query];
-        let (tag, scheduler) = (query as u64, self.config.scheduler);
-        // The probe that produced `key` already looked its plan up (the
-        // key's mix is canonical, so it is the plan key). Re-reading it
-        // uncounted keeps the plan cache's hits independent of how
-        // often racing serve cells miss the same cost.
-        let plan = match self.plans.peek(&(tag, scheduler, key.mix)) {
-            Some(plan) => Ok(plan),
-            None => {
-                self.plans.get_or_compile(tag, scheduler, q.graph, &key.mix, &q.functional.profile)
-            }
-        };
-        let cycles = plan.and_then(|plan| {
-            estimate_class_cycles(&plan, q.graph, q.functional, &self.config, key)
-        });
-        match cycles {
-            Ok(cycles) => ServiceCost::Cycles(cycles),
-            Err(_) => ServiceCost::Failed,
+    pub fn cost(&self, query: usize, probe: &CostProbe) -> ServiceCost {
+        if let Some(cost) = probe.known {
+            return cost;
         }
+        let Some(plan) = &probe.plan else { return ServiceCost::Failed };
+        let key = probe.key;
+        let simulate = || {
+            let cfg = SimConfig { mix: key.mix, derate: key.derate(), ..self.config.clone() };
+            let timing = simulate_plan(plan, &cfg, &mut SimScratch::new(), Observe::default());
+            Ok::<_, std::convert::Infallible>(
+                timing.map_or(ServiceCost::Failed, |t| ServiceCost::Cycles(t.cycles)),
+            )
+        };
+        let Ok(cost) = self.costs.get_or_insert_with((query as u64, key), simulate);
+        cost
     }
 
     /// The scenario-keyed service-cost cache (tags are query indices).

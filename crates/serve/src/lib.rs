@@ -10,10 +10,12 @@
 //! * [`TenantSpec`] + [`generate_requests`] — a seeded multi-tenant
 //!   arrival stream ([`q100_xrand`]-driven, per-tenant rates, deadlines
 //!   and query mixes);
-//! * [`Q100Device`] — a Q100 design wrapped behind a fallible
-//!   cycle-estimate interface ([`q100_core::estimate_service_cycles`])
-//!   with its own bounded [`PlanCache`](q100_core::PlanCache) and
-//!   memoized fault-free baselines;
+//! * [`Q100Device`] — a Q100 design with one cost entry
+//!   ([`Q100Device::probe_cost`] canonicalizes a fault scenario,
+//!   [`Q100Device::cost`] resolves it through a single-flight
+//!   [`ServiceCostCache`](q100_core::ServiceCostCache)), its own bounded
+//!   [`PlanCache`](q100_core::PlanCache), and fault-free baselines
+//!   costed through the same entry;
 //! * [`ServePolicy`] + [`CircuitBreaker`] — admission control / load
 //!   shedding at a configurable queue depth, per-query deadlines in
 //!   simulated cycles, bounded retry with exponential backoff against

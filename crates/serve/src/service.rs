@@ -3,17 +3,18 @@
 //! **Phase 1 — cost resolution.** Every attempt's [`FaultScenario`] is
 //! canonicalized into its cost class (see
 //! [`q100_core::ScenarioClassifier`]); the distinct `(query, class)`
-//! pairs of the whole request stream are resolved through the device's
-//! [`q100_core::ServiceCostCache`], and only the cache misses are
-//! simulated — fanned out through a caller-supplied [`Parallelism`].
-//! An attempt's cycle cost is a pure function of `(design, query,
-//! effective derate)`, independent of queue/breaker state, so costs can
-//! be resolved out of order and in parallel without changing anything.
+//! pairs of each round are resolved through [`Q100Device::cost`] — one
+//! single-flight lookup in the device's [`q100_core::ServiceCostCache`]
+//! each, so only its misses simulate — fanned out through a
+//! caller-supplied [`Parallelism`]. An attempt's cycle cost is a pure
+//! function of `(design, query, effective derate)`, independent of
+//! queue/breaker state, so costs can be resolved out of order and in
+//! parallel without changing anything.
 //!
 //! **Phase 2 — policy replay.** The virtual-clock
 //! admission/deadline/retry/breaker/degradation loop runs unchanged,
-//! but every `service_cycles` call becomes a table lookup into the
-//! phase-1 cost matrix. The replay is serial and cheap, and — because
+//! but every attempt's device cost is a table lookup into the phase-1
+//! cost matrix. The replay is serial and cheap, and — because
 //! phase 1 resolves a (deterministic) superset of the attempts the
 //! policy consumes — byte-identical to the original one-phase loop at
 //! any worker count.
@@ -23,7 +24,7 @@ use std::collections::{HashMap, HashSet};
 use q100_dbms::FallbackAccount;
 use q100_trace::{Histogram, Registry, TraceEvent, TraceSink, DEFAULT_BOUNDS};
 
-use crate::device::Q100Device;
+use crate::device::{CostProbe, Q100Device};
 use crate::mix_seed;
 use crate::policy::{CircuitBreaker, ServePolicy};
 use crate::tenant::{generate_requests, TenantSpec};
@@ -225,10 +226,11 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// How phase 1 fans uncached class simulations out. Implementations
-/// must return `f(0), f(1), …, f(n-1)` in input order; whether the
-/// calls run serially or on a worker pool is invisible to the caller
-/// (class costs are pure), so the report is byte-identical either way.
+/// How phase 1 fans its cost lookups (and the simulations of their
+/// misses) out. Implementations must return `f(0), f(1), …, f(n-1)`
+/// in input order; whether the calls run serially or on a worker pool
+/// is invisible to the caller (class costs are pure), so the report is
+/// byte-identical either way.
 pub trait Parallelism: Sync {
     /// Computes `f` over `0..n`, preserving input order.
     fn run(&self, n: usize, f: &(dyn Fn(usize) -> u64 + Sync)) -> Vec<u64>;
@@ -253,6 +255,15 @@ const COST_FAILED: u64 = u64::MAX;
 /// must never read one — `debug_assert`ed).
 const COST_UNRESOLVED: u64 = u64::MAX - 1;
 
+/// Encodes a stall-free `cost` plus `stall_extra` cycles into the cost
+/// matrix.
+fn encode(cost: ServiceCost, stall_extra: u64) -> u64 {
+    match cost {
+        ServiceCost::Failed => COST_FAILED,
+        ServiceCost::Cycles(c) => c.saturating_add(stall_extra).min(COST_UNRESOLVED - 1),
+    }
+}
+
 /// Phase 1: resolves the cost of every attempt the policy could
 /// consume into a flat `requests.len() × max_attempts` matrix
 /// (cycles-with-stalls, or [`COST_FAILED`]).
@@ -260,9 +271,8 @@ const COST_UNRESOLVED: u64 = u64::MAX - 1;
 /// Round `k` probes attempt `k` of every still-live request (round 1:
 /// all of them; later rounds: those whose previous attempt failed — a
 /// superset of what phase 2 consumes, since costs are pure). Each
-/// round canonicalizes its scenarios, deduplicates the keys, looks
-/// each distinct key up in the device cost cache exactly once, and
-/// simulates only the misses through `par`.
+/// round canonicalizes its scenarios, deduplicates the keys, and costs
+/// each distinct key once through `par` with [`Q100Device::cost`].
 fn resolve_costs(
     device: &Q100Device<'_>,
     requests: &[crate::tenant::Request],
@@ -280,17 +290,21 @@ fn resolve_costs(
     let mut scenario = FaultScenario::default();
     let mut candidates: Vec<usize> = (0..n).collect();
     let mut next_candidates: Vec<usize> = Vec::new();
-    let mut round: Vec<(usize, crate::device::CostProbe)> = Vec::new();
-    let mut round_cost: HashMap<(usize, CostKey), ServiceCost> = HashMap::new();
-    let mut misses: Vec<(usize, CostKey)> = Vec::new();
+    // Per probe of the round: the request, its stall cycles, and its
+    // cost — known, or `Err` with the slot of its key in `lookups`.
+    let mut round: Vec<(usize, u64, Result<ServiceCost, usize>)> = Vec::new();
+    // Each distinct unknown (query, key) of the round, with the first
+    // probe that produced it (and so the plan to simulate it on).
+    let mut slots: HashMap<(usize, CostKey), usize> = HashMap::new();
+    let mut lookups: Vec<(usize, CostProbe)> = Vec::new();
 
     for attempt in 1..=max_attempts {
         if candidates.is_empty() {
             break;
         }
         round.clear();
-        round_cost.clear();
-        misses.clear();
+        slots.clear();
+        lookups.clear();
 
         for &i in &candidates {
             let req = &requests[i];
@@ -302,49 +316,29 @@ fn resolve_costs(
             let probe = device.probe_cost(req.query, &scenario);
             seen_classes.insert((req.query, probe.key));
             cost_attempts += 1;
-            round.push((i, probe));
+            let stall_extra = probe.stall_extra;
+            let cost = match probe.known {
+                Some(cost) => Ok(cost),
+                None => Err(*slots.entry((req.query, probe.key)).or_insert_with(|| {
+                    lookups.push((req.query, probe));
+                    lookups.len() - 1
+                })),
+            };
+            round.push((i, stall_extra, cost));
         }
 
-        // One cache lookup per distinct (query, key) this round; the
-        // leftovers are this round's misses, simulated in parallel.
-        for &(i, ref probe) in &round {
-            if probe.known.is_some() {
-                continue;
-            }
-            let qk = (requests[i].query, probe.key);
-            if round_cost.contains_key(&qk) || misses.contains(&qk) {
-                continue;
-            }
-            match device.cost_cache().get(&(qk.0 as u64, probe.key)) {
-                Some(cost) => {
-                    round_cost.insert(qk, cost);
-                }
-                None => misses.push(qk),
-            }
-        }
-        let fresh = par.run(misses.len(), &|j: usize| {
-            let (query, key) = misses[j];
-            match device.class_cost(query, &key) {
-                ServiceCost::Cycles(c) => c.min(COST_UNRESOLVED - 1),
-                ServiceCost::Failed => COST_FAILED,
-            }
+        let fresh = par.run(lookups.len(), &|j: usize| {
+            let (query, probe) = &lookups[j];
+            encode(device.cost(*query, probe), 0)
         });
-        for (&(query, key), &enc) in misses.iter().zip(&fresh) {
-            let cost =
-                if enc == COST_FAILED { ServiceCost::Failed } else { ServiceCost::Cycles(enc) };
-            device.cost_cache().insert((query as u64, key), cost);
-            round_cost.insert((query, key), cost);
-        }
 
         next_candidates.clear();
-        for &(i, ref probe) in &round {
-            let cost = probe.known.unwrap_or_else(|| round_cost[&(requests[i].query, probe.key)]);
-            let enc = match cost {
-                ServiceCost::Failed => COST_FAILED,
-                ServiceCost::Cycles(c) => {
-                    c.saturating_add(probe.stall_extra).min(COST_UNRESOLVED - 1)
-                }
-            };
+        for &(i, stall_extra, cost) in &round {
+            let cost = cost.unwrap_or_else(|slot| match fresh[slot] {
+                COST_FAILED => ServiceCost::Failed,
+                c => ServiceCost::Cycles(c),
+            });
+            let enc = encode(cost, stall_extra);
             costs[i * max_attempts + (attempt - 1)] = enc;
             if enc == COST_FAILED {
                 next_candidates.push(i);

@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use q100_columnar::{Column, Table, Value};
 use q100_core::{
     check_feasible, execute, AggOp, CmpOp, CoreError, Fault, FaultScenario, FunctionalRun,
-    MemoryCatalog, QueryGraph, SimConfig, TileKind, TileMix,
+    MemoryCatalog, QueryGraph, ServiceCost, SimConfig, Simulator, TileKind, TileMix,
 };
 use q100_dbms::SoftwareCost;
 use q100_serve::{
@@ -177,10 +177,24 @@ fn soak_is_deterministic_in_its_inputs() {
     assert_ne!(a, c, "a different seed must change the outcome stream");
 }
 
+/// A fresh, uncached run of `scenario`'s degraded configuration on
+/// `device`: scheduled on the whole degraded mix (no demand clamp), no
+/// plan or cost cache involved.
+fn fresh_cycles(
+    device: &Q100Device<'_>,
+    query: usize,
+    scenario: &FaultScenario,
+) -> Result<u64, CoreError> {
+    let q = &device.queries()[query];
+    let config = scenario.apply(device.config());
+    Simulator::new(&config).run_profiled(q.graph, q.functional).map(|o| o.cycles)
+}
+
 /// The cached cost path the two-phase engine relies on: for random
 /// scenarios on both a redundant and a minimal device,
-/// `probe_cost`/`class_cost` plus the stall carry reproduce
-/// `service_cycles` exactly (or agree the scenario is unschedulable).
+/// `probe_cost`/`cost` plus the stall carry reproduce a fresh run of
+/// the degraded configuration exactly (or agree the scenario is
+/// unschedulable).
 #[test]
 fn probed_costs_match_direct_service_cycles() {
     let w = Workload::new();
@@ -189,24 +203,13 @@ fn probed_costs_match_direct_service_cycles() {
         for query in 0..device.queries().len() {
             for seed in 0..64u64 {
                 let scenario = FaultScenario::generate(seed, 0.3, &device.config().mix);
-                let direct = device.service_cycles(query, &scenario);
+                let direct = fresh_cycles(&device, query, &scenario);
                 let probe = device.probe_cost(query, &scenario);
-                let cost = match probe.known {
-                    Some(c) => c,
-                    None => match device.cost_cache().get(&(query as u64, probe.key)) {
-                        Some(c) => c,
-                        None => {
-                            let c = device.class_cost(query, &probe.key);
-                            device.cost_cache().insert((query as u64, probe.key), c);
-                            c
-                        }
-                    },
-                };
-                match (direct, cost) {
-                    (Ok(cycles), q100_core::ServiceCost::Cycles(c)) => {
+                match (direct, device.cost(query, &probe)) {
+                    (Ok(cycles), ServiceCost::Cycles(c)) => {
                         assert_eq!(cycles, c + probe.stall_extra, "query {query} seed {seed}");
                     }
-                    (Err(_), q100_core::ServiceCost::Failed) => {}
+                    (Err(_), ServiceCost::Failed) => {}
                     (d, c) => panic!("query {query} seed {seed}: direct {d:?} vs cached {c:?}"),
                 }
             }
@@ -214,9 +217,10 @@ fn probed_costs_match_direct_service_cycles() {
     }
 }
 
-/// The `Unschedulable` path: on a minimal mix, a kill fault surfaces as
-/// the typed error through the device, and the serving loop turns it
-/// into a software degradation rather than a drop or a panic.
+/// The `Unschedulable` path: on a minimal mix, a kill fault makes the
+/// query unschedulable (a typed error on a fresh run, a failed cost
+/// through the device), and the serving loop turns it into a software
+/// degradation rather than a drop or a panic.
 #[test]
 fn unschedulable_mix_degrades_to_software() {
     let w = Workload::new();
@@ -225,10 +229,14 @@ fn unschedulable_mix_degrades_to_software() {
     // Directly: killing the only ColFilter makes the filter query
     // unschedulable, and the error is typed.
     let kill = FaultScenario { faults: vec![Fault::TileKilled { kind: TileKind::ColFilter }] };
-    match device.service_cycles(0, &kill) {
+    match fresh_cycles(&device, 0, &kill) {
         Err(CoreError::Unschedulable { .. }) => {}
         other => panic!("expected Unschedulable, got {other:?}"),
     }
+    let probe = device.probe_cost(0, &kill);
+    assert_eq!(probe.known, Some(ServiceCost::Failed));
+    assert!(probe.plan.is_none());
+    assert_eq!(device.cost(0, &probe), ServiceCost::Failed);
 
     // Through the loop: at fault rate 1.0 every attempt sees heavy
     // faults; kills on the uniform(1) mix force software fallbacks.

@@ -196,28 +196,6 @@ pub fn chrome_trace_json(
                         ),
                     );
                 }
-                TraceEvent::FaultInjected { cycle, kind, endpoint, magnitude } => {
-                    push_event(
-                        &mut out,
-                        &format!(
-                            "\"ph\": \"i\", \"s\": \"g\", \"name\": \"fault.injected\", \
-                             \"pid\": {}, \"tid\": {tid}, \"ts\": {cycle}, \
-                             \"args\": {{\"kind\": {kind}, \"magnitude\": {}}}",
-                            usize::from(endpoint).min(endpoint_names.len().saturating_sub(1)),
-                            json_num(magnitude)
-                        ),
-                    );
-                }
-                TraceEvent::Reschedule { cycle, stages, tiles_lost } => {
-                    push_event(
-                        &mut out,
-                        &format!(
-                            "\"ph\": \"i\", \"s\": \"g\", \"name\": \"reschedule\", \
-                             \"pid\": {tinst_pid}, \"tid\": {tid}, \"ts\": {cycle}, \
-                             \"args\": {{\"stages\": {stages}, \"tiles_lost\": {tiles_lost}}}"
-                        ),
-                    );
-                }
                 // One event per quantum would dwarf every other track;
                 // programmatic consumers read these from the recorder.
                 TraceEvent::DegradedQuantum { .. } => {}
@@ -346,19 +324,13 @@ mod tests {
     }
 
     #[test]
-    fn resilience_events_export_as_instants() {
+    fn degraded_quanta_are_not_exported() {
         let s = TraceStream {
             name: "q1".into(),
-            events: vec![
-                TraceEvent::FaultInjected { cycle: 0, kind: 0, endpoint: 5, magnitude: 1.0 },
-                TraceEvent::Reschedule { cycle: 0, stages: 4, tiles_lost: 1 },
-                TraceEvent::DegradedQuantum { stage: 0, cycle: 0, dt: 64 },
-            ],
+            events: vec![TraceEvent::DegradedQuantum { stage: 0, cycle: 0, dt: 64 }],
         };
         let text = chrome_trace_json(&[s], &NAMES, 2.52);
         validate_chrome_trace_json(&text).unwrap();
-        assert!(text.contains("\"name\": \"fault.injected\""));
-        assert!(text.contains("\"tiles_lost\": 1"));
         // DegradedQuantum is deliberately not exported.
         assert!(!text.contains("degraded"));
     }

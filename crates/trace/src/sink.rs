@@ -78,34 +78,6 @@ pub enum TraceEvent {
         /// Bytes streamed out to memory.
         spill_bytes: u64,
     },
-    /// A fault was injected into the simulated configuration by the
-    /// resilience layer (`fault.injected`). Faults are applied before
-    /// execution starts, so `cycle` is always 0 today; the field exists
-    /// so online fault models can stamp mid-run injections later.
-    FaultInjected {
-        /// Global cycle at which the fault takes effect.
-        cycle: u64,
-        /// Fault taxonomy code (see `q100_core::resilience::Fault::code`):
-        /// 0 = tile killed, 1 = tile derated, 2 = NoC derated,
-        /// 3 = memory throttled, 4 = transient tinst stall.
-        kind: u16,
-        /// Endpoint index the fault applies to (tile kind index, the
-        /// memory endpoint, or the tinst slot for stalls).
-        endpoint: u16,
-        /// Fault magnitude: a derating factor in `(0, 1]` for derates,
-        /// instances removed for kills, or stall cycles for stalls.
-        magnitude: f64,
-    },
-    /// The resilience executor rebuilt the tile mix and re-ran the
-    /// scheduler after tile kills (`reschedule`).
-    Reschedule {
-        /// Global cycle at which rescheduling happened (0: before run).
-        cycle: u64,
-        /// Temporal-instruction count of the degraded schedule.
-        stages: u32,
-        /// Tile instances removed from the configured mix.
-        tiles_lost: u32,
-    },
     /// One simulation quantum executed with derating factors active
     /// (`degraded.quantum`). Programmatic consumers use this to measure
     /// how much of a run was spent degraded; the Chrome exporter skips
@@ -164,8 +136,6 @@ impl TraceEvent {
             | TraceEvent::MemSample { cycle, .. }
             | TraceEvent::LinkPeak { cycle, .. }
             | TraceEvent::StageMem { cycle, .. }
-            | TraceEvent::FaultInjected { cycle, .. }
-            | TraceEvent::Reschedule { cycle, .. }
             | TraceEvent::DegradedQuantum { cycle, .. }
             | TraceEvent::ServeRequest { cycle, .. }
             | TraceEvent::BlameSample { cycle, .. } => cycle,

@@ -5,8 +5,8 @@
 
 use q100::core::trace::RingRecorder;
 use q100::core::{
-    power, Bandwidth, BlameRecorder, DesignBudget, Observe, SimConfig, SimScratch, Simulator,
-    TileMix,
+    check_feasible, power, Bandwidth, BlameRecorder, CoreError, DesignBudget, Fault, FaultScenario,
+    Observe, SimConfig, SimScratch, Simulator, TileMix,
 };
 use q100::experiments::{comm, dse, pool, sched_study, software_cmp, Workload};
 
@@ -240,27 +240,67 @@ fn clamped_mixes_share_plans_and_timing_runs_exactly() {
     // memoized sweep must match from-scratch simulation in the whole
     // timing result, and every cache counter must be the same at any
     // worker count (single-flight caches run each fresh key once).
+    // Fault scenarios' degraded configurations take the same path, so
+    // a second sweep runs feasible ones that kill, derate and stall.
     let configs: Vec<SimConfig> =
         [(1, 1, 1), (1, 1, 6), (1, 3, 6), (2, 2, 2), (5, 1, 1), (5, 3, 6)]
             .into_iter()
             .map(|(alus, parts, sorts)| SimConfig::new(TileMix::with_swept(alus, parts, sorts)))
             .collect();
+    let names = ["q1", "q6", "q14"];
+    let graphs = Workload::prepare_subset(0.002, &names).queries;
+    let feasible =
+        |cfg: &SimConfig| graphs.iter().all(|p| check_feasible(&p.graph, &cfg.mix).is_ok());
+    let base = SimConfig::pareto();
+    let scenarios: Vec<FaultScenario> =
+        (0..).map(|seed| FaultScenario::generate(seed, 0.3, &base.mix)).take(64).collect();
+    let mixed = |s: &&FaultScenario| {
+        [
+            s.faults.iter().any(|f| matches!(f, Fault::TileKilled { .. })),
+            s.faults.iter().any(|f| matches!(f, Fault::TileDerated { .. })),
+            s.faults.iter().any(|f| matches!(f, Fault::TinstStall { .. })),
+        ]
+        .into_iter()
+        .all(|has| has)
+    };
+    let derated: Vec<SimConfig> = scenarios
+        .iter()
+        .filter(mixed)
+        .map(|s| s.apply(&base))
+        .filter(|cfg| feasible(cfg))
+        .take(4)
+        .collect();
+    assert_eq!(derated.len(), 4, "64 seeds hold four feasible mixed scenarios");
+    let demands: Vec<_> = graphs.iter().map(|p| p.graph.kind_histogram()).collect();
+    let reschedules =
+        |cfg: &SimConfig| demands.iter().any(|d| cfg.mix.clamped_to(d) != base.mix.clamped_to(d));
+    assert!(derated.iter().any(reschedules), "some kill must reschedule");
+    let killing = scenarios.iter().map(|s| s.apply(&base)).find(|cfg| !feasible(cfg));
+    let killing = killing.expect("64 seeds hold a scenario that kills a needed kind");
+
     let run = |jobs: usize| {
         pool::set_jobs(Some(jobs));
-        let w = Workload::prepare_subset(0.002, &["q1", "q6", "q14"]);
+        let w = Workload::prepare_subset(0.002, &names);
         let swept = w.sweep(&configs);
-        pool::set_jobs(None);
         let counters = [w.plan_cache_stats(), w.timing_memo_stats()];
-        (w, swept, counters)
+        w.reset_cache_stats();
+        let swept_derated = w.sweep(&derated);
+        let counters_derated = [w.plan_cache_stats(), w.timing_memo_stats()];
+        pool::set_jobs(None);
+        (w, [swept, swept_derated], [counters, counters_derated])
     };
     let (w, swept, serial) = run(1);
     let (_, swept_jobs, parallel) = run(4);
     assert_eq!(serial, parallel, "plan and memo counters must not depend on --jobs");
-    let [plan, memo] = serial;
+    let [plan, memo] = serial[0];
     assert!(plan.hits > 0, "surplus tiles must clamp onto shared plans: {plan}");
     assert!(memo.hits > 0, "equal schedules must share a timing run: {memo}");
     assert!(memo.misses <= plan.misses, "no more timing runs than plans: {memo} vs {plan}");
-    for ((config, outcomes), outcomes_jobs) in configs.iter().zip(&swept).zip(&swept_jobs) {
+    let [_, memo] = serial[1];
+    assert!(memo.misses > 0, "derated configs run the kernel: {memo}");
+    let all_configs = configs.iter().chain(&derated);
+    let all_swept = swept.iter().flatten().zip(swept_jobs.iter().flatten());
+    for (config, (outcomes, outcomes_jobs)) in all_configs.zip(all_swept) {
         for ((p, memoized), memoized_jobs) in w.queries.iter().zip(outcomes).zip(outcomes_jobs) {
             let fresh = w.simulate_uncached(p, config);
             assert_eq!(memoized.timing, fresh.timing, "{} under {}", p.query.name, config.mix);
@@ -268,4 +308,10 @@ fn clamped_mixes_share_plans_and_timing_runs_exactly() {
             assert_eq!(memoized.energy_mj().to_bits(), fresh.energy_mj().to_bits());
         }
     }
+
+    let failed = w.queries.iter().map(|p| w.try_simulate(p, &killing)).find_map(Result::err);
+    assert!(
+        matches!(failed, Some(CoreError::Unschedulable { .. })),
+        "a killed needed kind must be a typed error: {failed:?}"
+    );
 }
